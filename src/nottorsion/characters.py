@@ -366,6 +366,22 @@ def char_eval(chi: Character, f: UnitSeries) -> int:
     return total % prime.psq
 
 
+def _action_rows(z, p, psq, m):
+    """Decompositions of E_j o u = 1 + t^j z^j at the coprime j <= m.
+
+    z is the raw unit part of u, read through degree m - 1.  Lazily
+    yields (j, exps) in ascending j, with exps the `_decompose_raw`
+    exponents of E_j o u to depth m; the value of the acted character at
+    j is then sum(e * chi(E_k)) over exps.  A consumer that stops early
+    skips the powers of z and the decompositions it did not need.
+    """
+    zp = [1]
+    for j in range(1, (m if m % p else m - 1) + 1):
+        zp = _mul_raw(zp, z, p, m - j)
+        if j % p:
+            yield j, _decompose_raw([1, *[0] * (j - 1), *zp], p, psq, m)
+
+
 def char_act(u: NottinghamElement, chi: Character) -> Character:
     """The character f |-> chi(f o u); u moves chi within its orbit."""
     if u.prime != chi.prime:
@@ -376,21 +392,9 @@ def char_act(u: NottinghamElement, chi: Character) -> Character:
             "action needs element precision >= %d, have %d" % (bound, u.precision)
         )
     prime = chi.prime
-    p, psq = prime.p, prime.psq
-    z = u.unit._raw()
+    psq = prime.psq
     coeffs = {}
-    zp = [1]
-    for j in range(1, bound + 1):
-        zp = _mul_raw(zp, z, p, bound - j)
-        if j % p == 0:
-            continue
-        # E_j o u = 1 + t^j * z^j
-        w = [0] * (bound + 1)
-        w[0] = 1
-        for d, zd in enumerate(zp):
-            if zd:
-                w[j + d] = (w[j + d] + zd) % p
-        exps = _decompose_raw(w, p, psq, bound)
+    for j, exps in _action_rows(u.unit._raw(), prime.p, psq, bound):
         total = 0
         for k, e in exps.items():
             c = chi.coeffs.get(k)

@@ -36,19 +36,13 @@ from .equivalence import (
     power_conjugacy_criterion,
     power_conjugacy_oracle,
     reduced_form_bound,
+    require_budget,
 )
 from .reduction import reduce as reduce_character
 from .reduction import verify_witness
 from .series import ParseError, format_nottingham_product
 
 __all__ = ["main", "console_main", "build_parser"]
-
-
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
 
 
 def build_parser():
@@ -64,10 +58,6 @@ def build_parser():
                         help="output format (default text)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized suites (default fixed)")
-    common.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker cap; results are deterministic and "
-                        "identical for any value, and the current "
-                        "implementation computes on one worker")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -255,12 +245,14 @@ def cmd_power_conj(args):
     lines = ["type <%d,%d> over F_%d, n = %d" % (l, m, args.p, args.n),
              "predicate  %s" % ("conjugate" if predicted else "not conjugate")]
     status = 0
-    if args.no_oracle:
-        lines.append("oracle     skipped (--no-oracle)")
-        report["oracle"] = None
-    elif args.p ** m > args.budget:
-        lines.append("oracle     skipped (search cost %d exceeds budget %d)"
-                      % (args.p ** m, args.budget))
+    skip = "--no-oracle" if args.no_oracle else None
+    if skip is None:
+        try:
+            require_budget(args.p, m, args.budget)
+        except BudgetExceeded as exc:
+            skip = "search cost %s exceeds budget %d" % (exc.cost_text, args.budget)
+    if skip is not None:
+        lines.append("oracle     skipped (%s)" % skip)
         report["oracle"] = None
     else:
         if chi is None:

@@ -31,7 +31,9 @@ import time
 from .characters import (
     Character,
     CharType,
+    _action_rows,
     break_sequence,
+    char_eval,
     enumerate_characters,
     enumerate_reduced_forms,
     require_valid_type,
@@ -39,28 +41,48 @@ from .characters import (
     validate_type,
 )
 from .reduction import Witness, reduce as _reduce_char
-from .series import (
-    NottinghamElement,
-    UnitSeries,
-    _decompose_raw,
-    _mul_raw,
-    _strip_tables,
-    as_prime,
-)
+from .series import NottinghamElement, UnitSeries, _strip_run, as_prime
 
 DEFAULT_BUDGET = 1 << 26
 
 
 class BudgetExceeded(Exception):
-    """An exhaustive scan would cost more than the allowed budget."""
+    """An exhaustive scan over p^m candidates would exceed the budget.
 
-    def __init__(self, cost, budget):
+    The cost is kept as the pair (p, m) and printed as p^m, followed by
+    its decimal value only when that is short, so a refusal never prints
+    (or needs) a huge integer.
+    """
+
+    def __init__(self, p, m, budget):
+        self.p, self.m, self.budget = p, m, budget
         super().__init__(
-            "exhaustive search costs p^m = %d candidates, budget is %d"
-            % (cost, budget)
+            "exhaustive search costs p^m = %s candidates, budget is %d"
+            % (self.cost_text, budget)
         )
-        self.cost = cost
-        self.budget = budget
+
+    @property
+    def cost(self):
+        return self.p**self.m
+
+    @property
+    def cost_text(self):
+        if self.m * self.p.bit_length() <= 64:
+            return "%d^%d = %d" % (self.p, self.m, self.cost)
+        return "%d^%d" % (self.p, self.m)
+
+
+def require_budget(p, m, budget):
+    """Raise BudgetExceeded when a scan over p^m candidates exceeds budget.
+
+    The partial powers stop at the first one past the budget, so p^m is
+    never built for large m.
+    """
+    cost = 1
+    for _ in range(m):
+        cost *= p
+        if cost > budget:
+            raise BudgetExceeded(p, m, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -74,21 +96,10 @@ def _kernel_root(z_head, p, l):
     this value times the unit digit x_l; the kernel condition mod p is
     its vanishing.  Only z[0..l] is read.
     """
-    tables = _strip_tables(p, l)
-    r = list(z_head[: l + 1])
-    for k in range(1, l):
-        cv = r[k]
-        if not cv:
-            continue
-        tab = tables[(k, cv)]
-        for d in range(l, k - 1, -1):
-            acc = r[d]
-            for dk, w in tab:
-                if dk > d:
-                    break
-                acc += w * r[d - dk]
-            r[d] = acc % p
-    return r[l]
+    for k, c in _strip_run(z_head, p, l):
+        if k == l:
+            return c
+    return 0
 
 
 def _kernel_value_modp(z_head, p, l, xdig):
@@ -97,26 +108,7 @@ def _kernel_value_modp(z_head, p, l, xdig):
     xdig[k] is c_k mod p (zero at indices divisible by p); values at
     indices above l are p-multiples and invisible mod p.
     """
-    tables = _strip_tables(p, l)
-    r = list(z_head[: l + 1])
-    total = 0
-    for k in range(1, l + 1):
-        cv = r[k]
-        if not cv:
-            continue
-        if xdig[k]:
-            total += cv * xdig[k]
-        if k == l:
-            break
-        tab = tables[(k, cv)]
-        for d in range(l, k - 1, -1):
-            acc = r[d]
-            for dk, w in tab:
-                if dk > d:
-                    break
-                acc += w * r[d - dk]
-            r[d] = acc % p
-    return total % p
+    return sum(c * xdig[k] for k, c in _strip_run(z_head, p, l)) % p
 
 
 class _ActionScanner:
@@ -128,31 +120,17 @@ class _ActionScanner:
         self.m = m
         self.cop = [j for j in range(1, m + 1) if j % prime.p]
 
-    def acted_value(self, powers, z, j, coeffs):
-        """Value of the acted character at index j; powers caches z^k."""
-        p, psq, m = self.p, self.psq, self.m
-        while len(powers) <= j:
-            k = len(powers)
-            powers.append(_mul_raw(powers[k - 1], z, p, m - k))
-        zp = powers[j]
-        w = [0] * (m + 1)
-        w[0] = 1
-        for d, zd in enumerate(zp):
-            if zd and j + d <= m:
-                w[j + d] = zd
-        exps = _decompose_raw(w, p, psq, m)
-        total = 0
-        for k, e in exps.items():
-            c = coeffs.get(k)
-            if c:
-                total += e * c
-        return total % psq
-
     def matches(self, z, src_coeffs, tgt_coeffs):
-        """True when the candidate maps src to tgt at every coprime index."""
-        powers = [[1]]
-        for j in self.cop:
-            if self.acted_value(powers, z, j, src_coeffs) != tgt_coeffs.get(j, 0):
+        """True when the candidate maps src to tgt at every coprime index;
+        stops at the first index where it does not."""
+        psq = self.psq
+        for j, exps in _action_rows(z, self.p, psq, self.m):
+            total = 0
+            for k, e in exps.items():
+                c = src_coeffs.get(k)
+                if c:
+                    total += e * c
+            if total % psq != tgt_coeffs.get(j, 0):
                 return False
         return True
 
@@ -162,21 +140,10 @@ class _ActionScanner:
         The action is linear in the character values, so one matrix per
         candidate evaluates the action on any number of sources.
         """
-        p, psq, m = self.p, self.psq, self.m
-        powers = [[1]]
-        rows = []
-        for j in self.cop:
-            while len(powers) <= j:
-                k = len(powers)
-                powers.append(_mul_raw(powers[k - 1], z, p, m - k))
-            zp = powers[j]
-            w = [0] * (m + 1)
-            w[0] = 1
-            for d, zd in enumerate(zp):
-                if zd:
-                    w[j + d] = zd
-            rows.append(tuple(_decompose_raw(w, p, psq, m).items()))
-        return rows
+        return [
+            tuple(exps.items())
+            for _, exps in _action_rows(z, self.p, self.psq, self.m)
+        ]
 
     def apply_matrix(self, rows, coeffs):
         """Acted value vector over the coprime indices, given a matrix."""
@@ -203,11 +170,35 @@ def _search_preamble(chi, psi):
     return ct
 
 
-def _witness_from_raw(prime, z, chi):
-    from .characters import char_eval
+def _flat_scan(chi, psi, budget, strict):
+    """Raw unit of the lexicographically smallest candidate mapping chi
+    to psi, or None; strict adds the kernel condition.
 
-    elt = NottinghamElement(prime, UnitSeries(prime, z[1:]))
-    return Witness(elt, char_eval(chi, elt.unit))
+    The scan runs over a_1 .. a_(m-1) with a_m = 0.  When strict, the
+    kernel test runs once per length-l prefix and a failing prefix skips
+    all of its extensions; when weak, the prefix is empty.
+    """
+    ct = _search_preamble(chi, psi)
+    if ct is None:
+        return None
+    p = chi.prime.p
+    l, m = ct
+    require_budget(p, m, budget)
+    head = l if strict else 0
+    xdig = [0] * (l + 1)
+    for k in range(1, l + 1):
+        if k % p:
+            xdig[k] = chi.value(k) % p
+    scanner = _ActionScanner(chi.prime, m)
+    src, tgt = chi.coeffs, psi.coeffs
+    for prefix in itertools.product(range(p), repeat=head):
+        if strict and _kernel_value_modp([1, *prefix], p, l, xdig):
+            continue
+        for suffix in itertools.product(range(p), repeat=m - 1 - head):
+            z = [1, *prefix, *suffix, 0]
+            if scanner.matches(z, src, tgt):
+                return z
+    return None
 
 
 def strict_equiv_search(chi: Character, psi: Character, budget: int = DEFAULT_BUDGET):
@@ -218,30 +209,11 @@ def strict_equiv_search(chi: Character, psi: Character, budget: int = DEFAULT_BU
     must agree, otherwise the answer is immediately None.  Raises
     BudgetExceeded when p^m exceeds the budget.
     """
-    ct = _search_preamble(chi, psi)
-    if ct is None:
+    z = _flat_scan(chi, psi, budget, strict=True)
+    if z is None:
         return None
-    prime = chi.prime
-    p = prime.p
-    l, m = ct
-    cost = p**m
-    if cost > budget:
-        raise BudgetExceeded(cost, budget)
-    xdig = [0] * (l + 1)
-    for k in range(1, l + 1):
-        if k % p:
-            xdig[k] = chi.value(k) % p
-    scanner = _ActionScanner(prime, m)
-    src, tgt = chi.coeffs, psi.coeffs
-    for prefix in itertools.product(range(p), repeat=l):
-        head = [1, *prefix]
-        if _kernel_value_modp(head, p, l, xdig):
-            continue
-        for suffix in itertools.product(range(p), repeat=m - 1 - l):
-            z = [1, *prefix, *suffix, 0]
-            if scanner.matches(z, src, tgt):
-                return _witness_from_raw(prime, z, chi)
-    return None
+    elt = NottinghamElement(chi.prime, UnitSeries(chi.prime, z[1:]))
+    return Witness(elt, char_eval(chi, elt.unit))
 
 
 def weak_equiv_search(chi: Character, psi: Character, budget: int = DEFAULT_BUDGET):
@@ -250,22 +222,10 @@ def weak_equiv_search(chi: Character, psi: Character, budget: int = DEFAULT_BUDG
     Returns the lexicographically smallest NottinghamElement mapping chi
     to psi, or None.
     """
-    ct = _search_preamble(chi, psi)
-    if ct is None:
+    z = _flat_scan(chi, psi, budget, strict=False)
+    if z is None:
         return None
-    prime = chi.prime
-    p = prime.p
-    m = ct.m
-    cost = p**m
-    if cost > budget:
-        raise BudgetExceeded(cost, budget)
-    scanner = _ActionScanner(prime, m)
-    src, tgt = chi.coeffs, psi.coeffs
-    for body in itertools.product(range(p), repeat=m - 1):
-        z = [1, *body, 0]
-        if scanner.matches(z, src, tgt):
-            return NottinghamElement(prime, UnitSeries(prime, z[1:]))
-    return None
+    return NottinghamElement(chi.prime, UnitSeries(chi.prime, z[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +342,7 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
     prime = as_prime(p)
     p = prime.p
     require_valid_type(prime, l, m)
-    cost = p**m
-    if cost > budget:
-        raise BudgetExceeded(cost, budget)
+    require_budget(p, m, budget)
     forms = list(enumerate_reduced_forms(prime, l, m))
     chars = [f.to_character() for f in forms]
     n = len(forms)
@@ -426,7 +384,7 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
         forms=tuple(forms),
         classes=tuple(classes),
         witnesses=tuple(witnesses),
-        search_space_size=cost,
+        search_space_size=p**m,
         method="oracle-partition",
         runtime_ms=runtime_ms,
     )

@@ -107,14 +107,6 @@ class WitnessCheck:
         return "WitnessCheck(ok=%r, reason=%r)" % (self.ok, self.reason)
 
 
-def _basis_unit(prime, j, precision):
-    return UnitSeries.basis(prime, j, precision)
-
-
-def _elt(prime, unit):
-    return NottinghamElement(prime, unit)
-
-
 def reduce_mod_p(chi: Character):
     """Stage one: clear every unit digit below l.
 
@@ -140,8 +132,8 @@ def reduce_mod_p(chi: Character):
         )
         kernel_part = char_eval(cur, step_unit) % p
         f = (-kernel_part * pow(x_l, -1, p)) % p
-        s_unit = unit_mul(step_unit, unit_pow(_basis_unit(prime, l, m), f))
-        s = _elt(prime, s_unit)
+        s_unit = unit_mul(step_unit, unit_pow(UnitSeries.basis(prime, l, m), f))
+        s = NottinghamElement(prime, s_unit)
         cur = char_act(s, cur)
         acc = nott_compose(s, acc)
     for i in range(1, l):
@@ -164,7 +156,7 @@ def clear_low_p_part(chi: Character):
         if i % p and chi.value(i) % p:
             raise ValueError("expects stage-one form: unit digit at %d" % i)
     x_l = chi.value(l) % p
-    top = char_eval(chi, _basis_unit(prime, m, m))
+    top = char_eval(chi, UnitSeries.basis(prime, m, m))
     if top % p:
         raise RuntimeError("top value %d is a unit" % top)
     b_m = (top // p) % p
@@ -183,14 +175,14 @@ def clear_low_p_part(chi: Character):
         if a_q == 0:
             continue
         d = (-a_q * pow(q * b_m % p, -1, p)) % p
-        beta_val = char_eval(cur, _basis_unit(prime, l + j, m))
+        beta_val = char_eval(cur, UnitSeries.basis(prime, l + j, m))
         beta = (beta_val // p) % p
         e = (-d * beta * pow(b_m, -1, p)) % p
         u_unit = unit_mul(
-            unit_pow(_basis_unit(prime, l + j, m), d),
-            unit_pow(_basis_unit(prime, m, m), e),
+            unit_pow(UnitSeries.basis(prime, l + j, m), d),
+            unit_pow(UnitSeries.basis(prime, m, m), e),
         )
-        u_j = _elt(prime, u_unit)
+        u_j = NottinghamElement(prime, u_unit)
         cur = char_act(u_j, cur)
         acc = nott_compose(u_j, acc)
     if not is_reduced(cur):

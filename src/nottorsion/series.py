@@ -150,21 +150,43 @@ def _strip_tables(p, m):
     return tables
 
 
-def _decompose_raw(f, p, psq, m):
-    """Greedy exponents of f on the basis units E_j, j coprime to p, j <= m.
+def _strip_run(f, p, n):
+    """Greedy run of the unit f over the units 1+t^k, k = 1..n.
 
-    Scans degrees 1..m; a residual coefficient c at degree k = j*p^s feeds
-    c*p^s into the exponent of E_j (nothing survives mod p^2 for s >= 2),
-    then the residual is multiplied by (1+t^k)^(-c) in place.  Requires
-    f[0] == 1 and len(f) >= m+1.
+    Scans degrees 1..n; at each nonzero residual coefficient c at degree
+    k it yields (k, c), then multiplies the residual by (1+t^k)^(-c) in
+    place, so f = prod (1+t^k)^c mod t^(n+1) over the yielded pairs.  Only
+    f[0..n] is read and f is never mutated; f[0] must be 1.  A consumer
+    may stop early, which skips the strips it does not need.
     """
-    tables = _strip_tables(p, m)
-    r = list(f[: m + 1])
-    e = {}
-    for k in range(1, m + 1):
+    tables = _strip_tables(p, n)
+    r = list(f[: n + 1])
+    for k in range(1, n + 1):
         cv = r[k]
         if not cv:
             continue
+        yield k, cv
+        tab = tables[(k, cv)]
+        # in-place multiply by (1+t^k)^(-cv): descending d only reads
+        # entries below d that are still the old values
+        for d in range(n, k - 1, -1):
+            acc = r[d]
+            for dk, w in tab:
+                if dk > d:
+                    break
+                acc += w * r[d - dk]
+            r[d] = acc % p
+
+
+def _decompose_raw(f, p, psq, m):
+    """Greedy exponents of f on the basis units E_j, j coprime to p, j <= m.
+
+    A digit c of the strip run at degree k = j*p^s feeds c*p^s into the
+    exponent of E_j (nothing survives mod p^2 for s >= 2).  Requires
+    f[0] == 1 and len(f) >= m+1.
+    """
+    e = {}
+    for k, cv in _strip_run(f, p, m):
         kk, s = k, 0
         while kk % p == 0:
             kk //= p
@@ -173,43 +195,7 @@ def _decompose_raw(f, p, psq, m):
             e[kk] = (e.get(kk, 0) + cv) % psq
         elif s == 1:
             e[kk] = (e.get(kk, 0) + cv * p) % psq
-        tab = tables[(k, cv)]
-        # in-place multiply by (1+t^k)^(-cv): descending d only reads
-        # entries below d that are still the old values
-        for d in range(m, k - 1, -1):
-            acc = r[d]
-            for dk, w in tab:
-                if dk > d:
-                    break
-                acc += w * r[d - dk]
-            r[d] = acc % p
     return {j: v for j, v in e.items() if v}
-
-
-def _factor_unit_modp(z, p, n):
-    """Factor a unit as prod (1+t^k)^{n_k} mod t^(n+1), n_k in 0..p-1.
-
-    Unlike `_decompose_raw` this runs over all k (p | k included) with
-    exponents mod p only; the factorization is unique and serves as the
-    canonical product form for group elements.
-    """
-    tables = _strip_tables(p, n)
-    r = list(z[: n + 1])
-    factors = []
-    for k in range(1, n + 1):
-        cv = r[k]
-        if not cv:
-            continue
-        factors.append((k, cv))
-        tab = tables[(k, cv)]
-        for d in range(n, k - 1, -1):
-            acc = r[d]
-            for dk, w in tab:
-                if dk > d:
-                    break
-                acc += w * r[d - dk]
-            r[d] = acc % p
-    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +568,8 @@ def format_nottingham_product(u: NottinghamElement) -> str:
     Every group element factors uniquely this way up to its precision, so
     the output can be parsed back and recomposed exactly.
     """
-    p, n = u.prime.p, u.precision
-    factors = _factor_unit_modp(u.unit._raw(), p, n)
-    if not factors:
-        return "t"
     parts = ["t"]
-    for k, c in factors:
+    for k, c in _strip_run(u.unit._raw(), u.prime.p, u.precision):
         base = "(1+t^%d)" % k if k > 1 else "(1+t)"
         parts.append(base if c == 1 else "%s^%d" % (base, c))
     return "*".join(parts)

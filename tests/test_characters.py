@@ -34,6 +34,7 @@ from nottorsion.characters import (
     validate_type,
     window_indices,
 )
+from nottorsion.equivalence import _ActionScanner
 from nottorsion.series import (
     NottinghamElement,
     ParseError,
@@ -240,16 +241,28 @@ def test_act_example():
 
 
 def test_act_matches_eval():
-    # acted(E_j) must agree with direct evaluation of chi at E_j o u
+    # acted(E_j) must agree with direct evaluation of chi at E_j o u, at
+    # every coprime j; the search scanner shares char_act's action rows,
+    # so its matrix and its match test are held to the same oracle
     rng = random.Random(204)
-    chi = parse_character_literal("2:1,5:3,7:3", 3)
-    n = chi.bound
-    for _ in range(50):
-        u = random_elt(rng, 3, n)
-        acted = char_act(u, chi)
-        for j in (1, 2, 4, 5, 7):
-            f = UnitSeries.basis(3, j, n)
-            assert acted.value(j) == char_eval(chi, unit_subst(f, u))
+    cases = [parse_character_literal("2:1,5:3,7:3", 3)]
+    for p, l, m in [(2, 5, 15), (3, 2, 8), (5, 1, 6)]:
+        pool = list(enumerate_characters(p, l, m))
+        cases += [pool[rng.randrange(len(pool))] for _ in range(3)]
+    for chi in cases:
+        p, n = chi.prime.p, chi.bound
+        cop = [j for j in range(1, n + 1) if j % p]
+        scanner = _ActionScanner(chi.prime, n)
+        for _ in range(15):
+            u = random_elt(rng, p, n)
+            direct = tuple(
+                char_eval(chi, unit_subst(UnitSeries.basis(p, j, n), u)) for j in cop
+            )
+            acted = char_act(u, chi)
+            assert tuple(acted.value(j) for j in cop) == direct
+            z = u.unit._raw()
+            assert scanner.apply_matrix(scanner.action_matrix(z), chi.coeffs) == direct
+            assert scanner.matches(z, chi.coeffs, acted.coeffs)
 
 
 def test_act_is_contravariant_composition():
