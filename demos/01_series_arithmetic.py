@@ -9,7 +9,6 @@ composed by substitution.  This script walks through the raw moves.
 
 from nottorsion import (
     NottinghamElement,
-    UnitSeries,
     nott_compose,
     nott_inverse,
     parse_nottingham,

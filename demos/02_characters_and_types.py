@@ -10,7 +10,6 @@ value at all.
 """
 
 from nottorsion import (
-    Character,
     break_sequence,
     char_act,
     char_eval,

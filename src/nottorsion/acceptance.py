@@ -63,6 +63,7 @@ __all__ = [
 
 DEFAULT_SEED = 20260818
 SAMPLE_COST_CAP = 2048  # p^m cap for the exhaustive conjugacy sweep
+PROPERTY_CASES = 1000  # random cases per property suite in criterion 6
 
 
 class CriterionResult:
@@ -522,18 +523,18 @@ PROPERTY_SUITES = (
 )
 
 
-def run_criterion_6(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED, cases=1000):
+def run_criterion_6(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     started = time.perf_counter()
     checks = []
     for offset, (name, suite) in enumerate(PROPERTY_SUITES):
         rng = random.Random(seed + offset)
         t0 = time.perf_counter()
-        fails = suite(rng, cases)
+        fails = suite(rng, PROPERTY_CASES)
         checks.append(
             (
                 fails == 0,
                 "%s: %d cases, %d failures (%.1f s)"
-                % (name, cases, fails, time.perf_counter() - t0),
+                % (name, PROPERTY_CASES, fails, time.perf_counter() - t0),
             )
         )
     elapsed = time.perf_counter() - started

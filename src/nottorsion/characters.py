@@ -358,12 +358,17 @@ def char_eval(chi: Character, f: UnitSeries) -> int:
         )
     prime = chi.prime
     exps = _decompose_raw(f._raw(), prime.p, prime.psq, bound)
+    return _pairing(exps.items(), chi.coeffs, prime.psq)
+
+
+def _pairing(pairs, coeffs, psq):
+    """sum(e * chi(E_k)) mod p^2 over (k, e) pairs; coeffs maps k to chi(E_k)."""
     total = 0
-    for j, e in exps.items():
-        c = chi.coeffs.get(j)
+    for k, e in pairs:
+        c = coeffs.get(k)
         if c:
             total += e * c
-    return total % prime.psq
+    return total % psq
 
 
 def _action_rows(z, p, psq, m):
@@ -372,7 +377,7 @@ def _action_rows(z, p, psq, m):
     z is the raw unit part of u, read through degree m - 1.  Lazily
     yields (j, exps) in ascending j, with exps the `_decompose_raw`
     exponents of E_j o u to depth m; the value of the acted character at
-    j is then sum(e * chi(E_k)) over exps.  A consumer that stops early
+    j is then the `_pairing` of exps with chi.  A consumer that stops early
     skips the powers of z and the decompositions it did not need.
     """
     zp = [1]
@@ -395,14 +400,9 @@ def char_act(u: NottinghamElement, chi: Character) -> Character:
     psq = prime.psq
     coeffs = {}
     for j, exps in _action_rows(u.unit._raw(), prime.p, psq, bound):
-        total = 0
-        for k, e in exps.items():
-            c = chi.coeffs.get(k)
-            if c:
-                total += e * c
-        total %= psq
-        if total:
-            coeffs[j] = total
+        value = _pairing(exps.items(), chi.coeffs, psq)
+        if value:
+            coeffs[j] = value
     return Character(prime, coeffs)
 
 

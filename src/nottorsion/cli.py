@@ -51,45 +51,50 @@ def build_parser():
         description="Exact arithmetic for order-p^2 torsion characters "
         "of the Nottingham group.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="largest brute-force search allowed (default 2^26)")
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                        help="output format (default text)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized suites (default fixed)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                      help="seed for randomized suites (default fixed)")
+    plain = argparse.ArgumentParser(add_help=False)
+    plain.add_argument("--format", choices=("text", "json"), default="text",
+                       help="output format (default text)")
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--format", choices=("text", "json", "csv"), default="text",
+                         help="output format (default text)")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_reduce = sub.add_parser("reduce", parents=[common],
+    p_reduce = sub.add_parser("reduce", parents=[plain],
                               help="reduce a character, printing a verified witness")
     p_reduce.add_argument("--p", type=int, required=True, help="the prime")
     p_reduce.add_argument("--char", required=True,
                           help='character literal, e.g. "1:1,2:3,4:3"')
     p_reduce.set_defaults(func=cmd_reduce)
 
-    p_classify = sub.add_parser("classify", parents=[common],
+    p_classify = sub.add_parser("classify", parents=[budget, tabular],
                                 help="partition the reduced forms of a type")
     p_classify.add_argument("--p", type=int, required=True)
     p_classify.add_argument("--l", type=int, required=True)
     p_classify.add_argument("--m", type=int, required=True)
     p_classify.set_defaults(func=cmd_classify)
 
-    p_bound = sub.add_parser("bound", parents=[common],
+    p_bound = sub.add_parser("bound", parents=[plain],
                              help="closed-form reduced-form count")
     p_bound.add_argument("--p", type=int, required=True)
     p_bound.add_argument("--l", type=int, required=True)
     p_bound.add_argument("--m", type=int, required=True)
     p_bound.set_defaults(func=cmd_bound)
 
-    p_tables = sub.add_parser("tables", parents=[common],
+    p_tables = sub.add_parser("tables", parents=[budget, tabular],
                               help="CSV sweep over the grid l <= L, m <= M")
     p_tables.add_argument("--p", type=int, required=True)
     p_tables.add_argument("--l", type=int, required=True, help="largest l")
     p_tables.add_argument("--m", type=int, required=True, help="largest m")
     p_tables.set_defaults(func=cmd_tables)
 
-    p_power = sub.add_parser("power-conj", parents=[common],
+    p_power = sub.add_parser("power-conj", parents=[budget, plain],
                              help="is a torsion element conjugate to its n-th power")
     p_power.add_argument("--p", type=int, required=True)
     p_power.add_argument("--n", type=int, required=True)
@@ -101,7 +106,7 @@ def build_parser():
                          help="skip the brute-force confirmation")
     p_power.set_defaults(func=cmd_power_conj)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[budget, seed, plain],
                               help="run the acceptance checkers")
     p_verify.add_argument("--only", type=int,
                           help="run a single criterion (1..6)")

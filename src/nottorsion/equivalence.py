@@ -16,11 +16,12 @@ every equivalence witnessed in F_p^m is witnessed with a_m = 0, and the
 lexicographically smallest witness has a_m = 0.
 
 Class counting comes in two flavors.  `count_classes` with method
-"canonical-reduce" reduces every character of the type and counts
-distinct reduced forms; this is the fast path, valid as a class count
-when l < p (where the reduced form is a complete invariant).  Method
 "oracle-partition" unions reduced forms by exhaustive search and counts
-orbits with no appeal to theory beyond the action itself.
+orbits with no appeal to theory beyond the action itself.  Method
+"canonical-reduce" reduces every character of the type and counts
+distinct reduced forms, a class count only when l < p (where the reduced
+form is a complete invariant).  It is the slow path, one reduction per
+character, kept as an independent cross-check: it shares no search code.
 """
 
 from __future__ import annotations
@@ -30,18 +31,17 @@ import time
 
 from .characters import (
     Character,
-    CharType,
     _action_rows,
+    _pairing,
     break_sequence,
     char_eval,
     enumerate_characters,
     enumerate_reduced_forms,
     require_valid_type,
     scalar_mul,
-    validate_type,
 )
 from .reduction import Witness, reduce as _reduce_char
-from .series import NottinghamElement, UnitSeries, _strip_run, as_prime
+from .series import NottinghamElement, _strip_run, as_prime
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -120,17 +120,17 @@ class _ActionScanner:
         self.m = m
         self.cop = [j for j in range(1, m + 1) if j % prime.p]
 
+    def index(self, chars):
+        """Map each character's value vector over the coprime indices, the
+        key apply_matrix returns, to its position in chars."""
+        return {tuple(c.value(j) for j in self.cop): i for i, c in enumerate(chars)}
+
     def matches(self, z, src_coeffs, tgt_coeffs):
         """True when the candidate maps src to tgt at every coprime index;
         stops at the first index where it does not."""
         psq = self.psq
         for j, exps in _action_rows(z, self.p, psq, self.m):
-            total = 0
-            for k, e in exps.items():
-                c = src_coeffs.get(k)
-                if c:
-                    total += e * c
-            if total % psq != tgt_coeffs.get(j, 0):
+            if _pairing(exps.items(), src_coeffs, psq) != tgt_coeffs.get(j, 0):
                 return False
         return True
 
@@ -148,56 +148,47 @@ class _ActionScanner:
     def apply_matrix(self, rows, coeffs):
         """Acted value vector over the coprime indices, given a matrix."""
         psq = self.psq
-        out = []
-        for row in rows:
-            total = 0
-            for k, e in row:
-                c = coeffs.get(k)
-                if c:
-                    total += e * c
-            out.append(total % psq)
-        return tuple(out)
+        return tuple([_pairing(row, coeffs, psq) for row in rows])
 
 
-def _search_preamble(chi, psi):
-    if chi.prime != psi.prime:
-        raise ValueError("mismatched primes")
-    if not (chi.is_surjective and psi.is_surjective):
-        return None
-    ct = break_sequence(chi)
-    if break_sequence(psi) != ct:
-        return None
-    return ct
+def _candidates(p, m, head=0, rejected=None):
+    """Raw units [1, a_1, ..., a_(m-1), 0] in lexicographic order.
+
+    Each length-head prefix (a_1 .. a_head) is tested once: when
+    rejected([1, *prefix]) is true, every extension of that prefix is
+    skipped.  With no test, every candidate is yielded.
+    """
+    for prefix in itertools.product(range(p), repeat=head):
+        if rejected is not None and rejected([1, *prefix]):
+            continue
+        for suffix in itertools.product(range(p), repeat=m - 1 - head):
+            yield [1, *prefix, *suffix, 0]
 
 
 def _flat_scan(chi, psi, budget, strict):
     """Raw unit of the lexicographically smallest candidate mapping chi
-    to psi, or None; strict adds the kernel condition.
-
-    The scan runs over a_1 .. a_(m-1) with a_m = 0.  When strict, the
-    kernel test runs once per length-l prefix and a failing prefix skips
-    all of its extensions; when weak, the prefix is empty.
+    to psi, or None; strict adds the kernel condition, tested once per
+    length-l prefix.
     """
-    ct = _search_preamble(chi, psi)
-    if ct is None:
+    if chi.prime != psi.prime:
+        raise ValueError("mismatched primes")
+    if not (chi.is_surjective and psi.is_surjective):
+        return None
+    l, m = break_sequence(chi)
+    if break_sequence(psi) != (l, m):
         return None
     p = chi.prime.p
-    l, m = ct
     require_budget(p, m, budget)
-    head = l if strict else 0
-    xdig = [0] * (l + 1)
-    for k in range(1, l + 1):
-        if k % p:
-            xdig[k] = chi.value(k) % p
+    if strict:
+        xdig = [chi.value(k) % p if k % p else 0 for k in range(l + 1)]
+        walk = _candidates(p, m, l, lambda z: _kernel_value_modp(z, p, l, xdig))
+    else:
+        walk = _candidates(p, m)
     scanner = _ActionScanner(chi.prime, m)
     src, tgt = chi.coeffs, psi.coeffs
-    for prefix in itertools.product(range(p), repeat=head):
-        if strict and _kernel_value_modp([1, *prefix], p, l, xdig):
-            continue
-        for suffix in itertools.product(range(p), repeat=m - 1 - head):
-            z = [1, *prefix, *suffix, 0]
-            if scanner.matches(z, src, tgt):
-                return z
+    for z in walk:
+        if scanner.matches(z, src, tgt):
+            return z
     return None
 
 
@@ -212,7 +203,7 @@ def strict_equiv_search(chi: Character, psi: Character, budget: int = DEFAULT_BU
     z = _flat_scan(chi, psi, budget, strict=True)
     if z is None:
         return None
-    elt = NottinghamElement(chi.prime, UnitSeries(chi.prime, z[1:]))
+    elt = NottinghamElement.from_unit_coeffs(chi.prime, z[1:])
     return Witness(elt, char_eval(chi, elt.unit))
 
 
@@ -225,7 +216,7 @@ def weak_equiv_search(chi: Character, psi: Character, budget: int = DEFAULT_BUDG
     z = _flat_scan(chi, psi, budget, strict=False)
     if z is None:
         return None
-    return NottinghamElement(chi.prime, UnitSeries(chi.prime, z[1:]))
+    return NottinghamElement.from_unit_coeffs(chi.prime, z[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +320,23 @@ def _find(parent, i):
     return i
 
 
+def _union(parent, i, j):
+    """Link j's set under i's root; False when the two are already one."""
+    ri, rj = _find(parent, i), _find(parent, j)
+    if ri == rj:
+        return False
+    parent[rj] = ri
+    return True
+
+
 def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassReport:
     """Partition the reduced forms of type <l, m> into strict classes.
 
     A single lexicographic scan over candidate elements evaluates the
     action on every reduced form at once; two forms land in one class
     exactly when some chain of witnessed moves connects them.  Reduced
-    forms have no unit digits below l, so one kernel test per candidate
-    covers every source.
+    forms have no unit digits below l, so one kernel test covers every
+    source; it reads only a_1 .. a_l and runs once per length-l prefix.
     """
     started = time.perf_counter()
     prime = as_prime(p)
@@ -347,25 +347,16 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
     chars = [f.to_character() for f in forms]
     n = len(forms)
     scanner = _ActionScanner(prime, m)
-    index_of = {
-        tuple(c.value(j) for j in scanner.cop): i for i, c in enumerate(chars)
-    }
+    index_of = scanner.index(chars)
     parent = list(range(n))
     witnesses = []
     remaining = n
-    for body in itertools.product(range(p), repeat=m - 1):
-        z = [1, *body, 0]
-        if _kernel_root(z, p, l):
-            continue
+    for z in _candidates(p, m, l, lambda head: _kernel_root(head, p, l)):
         mat = scanner.action_matrix(z)
         for i in range(n):
             hit = index_of.get(scanner.apply_matrix(mat, chars[i].coeffs))
-            if hit is None or hit == i:
-                continue
-            ri, rh = _find(parent, i), _find(parent, hit)
-            if ri != rh:
-                parent[rh] = ri
-                elt = NottinghamElement(prime, UnitSeries(prime, z[1:]))
+            if hit is not None and _union(parent, i, hit):
+                elt = NottinghamElement.from_unit_coeffs(prime, z[1:])
                 witnesses.append((i, hit, elt))
                 remaining -= 1
         if remaining == 1:
@@ -489,9 +480,8 @@ def weak_class_count(p, l, m) -> int:
     p = prime.p
     require_valid_type(prime, l, m)
     chars = list(enumerate_characters(prime, l, m))
-    cop = [j for j in range(1, m + 1) if j % p]
-    index_of = {tuple(c.value(j) for j in cop): i for i, c in enumerate(chars)}
     scanner = _ActionScanner(prime, m)
+    index_of = scanner.index(chars)
     # generator action matrices: for each generator t(1+c t^k), the basis
     # decomposition of E_j o g at every coprime j
     matrices = []
@@ -504,10 +494,7 @@ def weak_class_count(p, l, m) -> int:
     parent = list(range(len(chars)))
     for i, chi in enumerate(chars):
         for mat in matrices:
-            hit = index_of[scanner.apply_matrix(mat, chi.coeffs)]
-            ri, rh = _find(parent, i), _find(parent, hit)
-            if ri != rh:
-                parent[rh] = ri
+            _union(parent, i, index_of[scanner.apply_matrix(mat, chi.coeffs)])
     return len({_find(parent, i) for i in range(len(chars))})
 
 

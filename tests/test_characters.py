@@ -15,7 +15,6 @@ from nottorsion.characters import (
     Character,
     CharType,
     ReducedForm,
-    StandardExpansion,
     break_sequence,
     char_act,
     char_eval,
@@ -42,6 +41,7 @@ from nottorsion.series import (
     nott_compose,
     parse_nottingham,
     parse_unit,
+    unit_decompose,
     unit_mul,
     unit_subst,
 )
@@ -243,20 +243,29 @@ def test_act_example():
 def test_act_matches_eval():
     # acted(E_j) must agree with direct evaluation of chi at E_j o u, at
     # every coprime j; the search scanner shares char_act's action rows,
-    # so its matrix and its match test are held to the same oracle
+    # so its matrix and its match test are held to the same oracle.  The
+    # expected values pair chi with the exponents here, not through
+    # char_eval, which shares its pairing with the three paths under test
     rng = random.Random(204)
     cases = [parse_character_literal("2:1,5:3,7:3", 3)]
     for p, l, m in [(2, 5, 15), (3, 2, 8), (5, 1, 6)]:
         pool = list(enumerate_characters(p, l, m))
         cases += [pool[rng.randrange(len(pool))] for _ in range(3)]
     for chi in cases:
-        p, n = chi.prime.p, chi.bound
+        p, n, psq = chi.prime.p, chi.bound, chi.prime.psq
         cop = [j for j in range(1, n + 1) if j % p]
         scanner = _ActionScanner(chi.prime, n)
         for _ in range(15):
             u = random_elt(rng, p, n)
             direct = tuple(
-                char_eval(chi, unit_subst(UnitSeries.basis(p, j, n), u)) for j in cop
+                sum(
+                    e * chi.value(k)
+                    for k, e in unit_decompose(
+                        unit_subst(UnitSeries.basis(p, j, n), u), n
+                    ).exps.items()
+                )
+                % psq
+                for j in cop
             )
             acted = char_act(u, chi)
             assert tuple(acted.value(j) for j in cop) == direct

@@ -306,3 +306,38 @@ def test_help_exits_zero(capsys):
 def test_missing_required_flag(capsys):
     code, out, err = run(capsys, "bound", "--p", "2", "--l", "5")
     assert code == 2
+
+
+VALID_ARGV = {
+    "reduce": ("reduce", "--p", "3", "--char", "1:1,2:3,4:3"),
+    "classify": ("classify", "--p", "2", "--l", "3", "--m", "6"),
+    "bound": ("bound", "--p", "2", "--l", "5", "--m", "15"),
+    "tables": ("tables", "--p", "3", "--l", "1", "--m", "5"),
+    "power-conj": ("power-conj", "--p", "3", "--l", "1", "--m", "4", "--n", "4"),
+    "verify": ("verify", "--only", "1"),
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, extra, message",
+    [
+        ("reduce", ("--budget", "1"), "unrecognized arguments"),
+        ("reduce", ("--seed", "5"), "unrecognized arguments"),
+        ("classify", ("--seed", "5"), "unrecognized arguments"),
+        ("bound", ("--budget", "1"), "unrecognized arguments"),
+        ("bound", ("--seed", "5"), "unrecognized arguments"),
+        ("tables", ("--seed", "5"), "unrecognized arguments"),
+        ("power-conj", ("--seed", "5"), "unrecognized arguments"),
+        ("reduce", ("--format", "csv"), "invalid choice"),
+        ("bound", ("--format", "csv"), "invalid choice"),
+        ("power-conj", ("--format", "csv"), "invalid choice"),
+        ("verify", ("--format", "csv"), "invalid choice"),
+    ],
+)
+def test_subcommand_rejects_options_it_does_not_read(capsys, subcommand, extra, message):
+    # every subcommand accepts only the options it reads; the rest are
+    # usage errors rather than silently ignored
+    code, out, err = run(capsys, *VALID_ARGV[subcommand], *extra)
+    assert code == 2
+    assert message in err
+    assert out == ""

@@ -18,7 +18,6 @@ from nottorsion.characters import (
     char_eval,
     enumerate_characters,
     enumerate_reduced_forms,
-    format_character_literal,
     parse_character_literal,
     scalar_mul,
 )
@@ -45,7 +44,6 @@ from nottorsion.series import (
     UnitSeries,
     format_nottingham_product,
     nott_compose,
-    parse_nottingham,
 )
 
 
@@ -249,6 +247,50 @@ def test_partition_report_structure():
     assert len(cells) == len(ClassReport.CSV_HEADER.split(","))
     assert cells[:5] == ["2", "3", "6", "4", "2"]
     assert rep.runtime_ms >= 0
+
+
+def naive_partition(p, l, m):
+    """Oracle: union the reduced forms of <l, m> over every candidate
+    (a_1 .. a_(m-1), 0) in lex order, testing each source's kernel value
+    with char_eval, acting with char_act, and recording the first union
+    of each pair of classes.  Returns (classes, witnesses as text)."""
+    forms = list(enumerate_reduced_forms(p, l, m))
+    chars = [f.to_character() for f in forms]
+    index = {chi: i for i, chi in enumerate(chars)}
+    label = list(range(len(forms)))
+    witnesses = []
+    for body in itertools.product(range(p), repeat=m - 1):
+        if len(set(label)) == 1:
+            break
+        u = NottinghamElement(chars[0].prime, UnitSeries(p, [*body, 0]))
+        for i, chi in enumerate(chars):
+            if char_eval(chi, u.unit) % p:
+                continue
+            hit = index.get(char_act(u, chi))
+            if hit is None or label[hit] == label[i]:
+                continue
+            old = label[hit]
+            label = [label[i] if x == old else x for x in label]
+            witnesses.append((i, hit, format_nottingham_product(u)))
+    groups = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    classes = sorted(tuple(g) for g in groups.values())
+    return classes, witnesses
+
+
+@pytest.mark.parametrize(
+    "p, l, m", [(2, 3, 6), (2, 3, 11), (2, 5, 10), (2, 5, 11), (3, 1, 4), (3, 2, 6)]
+)
+def test_partition_visit_order_matches_naive_scan(p, l, m):
+    # pins classes and witnesses, in order: the partition tests the kernel
+    # once per length-l prefix and must still record the same first unions
+    rep = partition_reduced_forms(p, l, m)
+    classes, witnesses = naive_partition(p, l, m)
+    assert list(rep.classes) == classes
+    assert [
+        (i, j, format_nottingham_product(elt)) for i, j, elt in rep.witnesses
+    ] == witnesses
 
 
 def test_partition_report_immutable():

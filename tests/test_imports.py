@@ -1,0 +1,65 @@
+"""Guard against imports that nothing uses.
+
+Parses every Python file under `src/`, `tests/` and `demos/` and fails
+on any name an import binds that the module never references.  A name
+listed in the module's `__all__` counts as referenced (a re-export), and
+`from __future__ import ...` is exempt.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCANNED = ("src", "tests", "demos")
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {
+                elt.value
+                for elt in node.value.elts
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            }
+    return set()
+
+
+def unused_imports(source):
+    """Names bound by an import in `source` and never referenced."""
+    tree = ast.parse(source)
+    imported = {}
+    used = _exported(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_scan_flags_unused_and_accepts_used():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import os.path as osp\n"
+        "from json import dumps, loads\n"
+        "__all__ = ['loads']\n"
+        "print(sys.argv, dumps)\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (3, "osp")]
+
+
+def test_no_unused_imports():
+    found = []
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for line, name in unused_imports(path.read_text()):
+                found.append("%s:%d %s" % (path.relative_to(ROOT), line, name))
+    assert found == []
