@@ -16,6 +16,7 @@ answer presented as complete.
 import argparse
 import json
 import sys
+import time
 
 from .acceptance import DEFAULT_SEED, run_all, run_criterion
 from .characters import (
@@ -60,9 +61,6 @@ def build_parser():
     plain = argparse.ArgumentParser(add_help=False)
     plain.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default text)")
-    tabular = argparse.ArgumentParser(add_help=False)
-    tabular.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                         help="output format (default text)")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -73,8 +71,10 @@ def build_parser():
                           help='character literal, e.g. "1:1,2:3,4:3"')
     p_reduce.set_defaults(func=cmd_reduce)
 
-    p_classify = sub.add_parser("classify", parents=[budget, tabular],
+    p_classify = sub.add_parser("classify", parents=[budget],
                                 help="partition the reduced forms of a type")
+    p_classify.add_argument("--format", choices=("text", "json", "csv"), default="text",
+                            help="output format (default text)")
     p_classify.add_argument("--p", type=int, required=True)
     p_classify.add_argument("--l", type=int, required=True)
     p_classify.add_argument("--m", type=int, required=True)
@@ -87,7 +87,7 @@ def build_parser():
     p_bound.add_argument("--m", type=int, required=True)
     p_bound.set_defaults(func=cmd_bound)
 
-    p_tables = sub.add_parser("tables", parents=[budget, tabular],
+    p_tables = sub.add_parser("tables", parents=[budget, plain],
                               help="CSV sweep over the grid l <= L, m <= M")
     p_tables.add_argument("--p", type=int, required=True)
     p_tables.add_argument("--l", type=int, required=True, help="largest l")
@@ -188,8 +188,6 @@ TABLES_HEADER = "p,l,m,valid,B,d,method,runtime_ms"
 
 
 def _tables_rows(p, max_l, max_m, budget):
-    import time
-
     rows = []
     for l in range(1, max_l + 1):
         for m in range(2, max_m + 1):
@@ -197,23 +195,22 @@ def _tables_rows(p, max_l, max_m, budget):
                 rows.append({"p": p, "l": l, "m": m, "valid": "no",
                              "B": "", "d": "", "method": "", "runtime_ms": 0})
                 continue
-            b = reduced_form_bound(p, l, m)
-            if l < p:
-                method = "canonical-reduce"
-                work = character_count(p, l, m)
-            else:
-                method = "oracle-partition"
-                work = p**m
-            if work > budget:
-                rows.append({"p": p, "l": l, "m": m, "valid": "yes",
-                             "B": b, "d": "", "method": "refused",
-                             "runtime_ms": 0})
+            row = {"p": p, "l": l, "m": m, "valid": "yes",
+                   "B": reduced_form_bound(p, l, m), "d": "",
+                   "method": "refused", "runtime_ms": 0}
+            rows.append(row)
+            method = "canonical-reduce" if l < p else "oracle-partition"
+            # canonical-reduce reduces every character of the type; the
+            # partition refuses past p^m by itself
+            if l < p and character_count(p, l, m) > budget:
                 continue
             t0 = time.perf_counter()
-            d = count_classes(p, l, m, method=method, budget=budget)
-            rows.append({"p": p, "l": l, "m": m, "valid": "yes",
-                         "B": b, "d": d, "method": method,
-                         "runtime_ms": int((time.perf_counter() - t0) * 1000)})
+            try:
+                row["d"] = count_classes(p, l, m, method=method, budget=budget)
+            except BudgetExceeded:
+                continue
+            row["method"] = method
+            row["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
     return rows
 
 

@@ -18,6 +18,7 @@ from nottorsion.equivalence import (
     type_1m_class_count,
     type_2m_weak_class_count,
 )
+from nottorsion.series import UnitSeries
 
 
 def _block(result):
@@ -83,3 +84,21 @@ def test_criterion_5_power_conjugacy_agreement():
 
 def test_criterion_6_property_suites():
     _run(6)
+
+
+def test_criterion_6_counts_failures(monkeypatch):
+    # a recompose that always returns 1 + t breaks the round trip and
+    # nothing else, so only the first suite may report failures
+    monkeypatch.setattr(acceptance, "PROPERTY_CASES", 20)
+    monkeypatch.setattr(
+        acceptance,
+        "unit_recompose",
+        lambda e, precision: UnitSeries(e.prime, [1] + [0] * (precision - 1)),
+    )
+    result = acceptance.run_criterion(6)
+    block = _block(result)
+    (ok, roundtrip), *others = result.checks[:8]
+    assert roundtrip.startswith("decomposition round-trip: 20 cases, ")
+    assert not ok and ", 0 failures" not in roundtrip, "\n" + block
+    assert all(ok and ": 20 cases, 0 failures (" in text for ok, text in others), "\n" + block
+    assert not result.passed, "\n" + block

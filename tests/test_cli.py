@@ -4,12 +4,13 @@ Each test drives main(argv) directly and inspects stdout/stderr plus the
 exit code.  Frozen outputs come from the library's own tested behavior.
 """
 
+import argparse
 import json
 
 import pytest
 
 from nottorsion.characters import char_act, parse_character_literal
-from nottorsion.cli import TABLES_HEADER, main
+from nottorsion.cli import TABLES_HEADER, build_parser, main
 from nottorsion.reduction import verify_witness
 from nottorsion.series import parse_nottingham
 
@@ -288,6 +289,14 @@ def test_verify_rejects_bad_criterion(capsys):
     assert code == 2
 
 
+def test_verify_criterion_3_honors_budget(capsys):
+    # criterion 3 counts strict classes with the exhaustive partition,
+    # and 3^5 = 243 candidates at depth-1 type (3,1,5) exceed 100
+    code, out, err = run(capsys, "verify", "--only", "3", "--budget", "100")
+    assert code == 3
+    assert "budget refused" in err
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -332,6 +341,7 @@ VALID_ARGV = {
         ("bound", ("--format", "csv"), "invalid choice"),
         ("power-conj", ("--format", "csv"), "invalid choice"),
         ("verify", ("--format", "csv"), "invalid choice"),
+        ("tables", ("--format", "csv"), "invalid choice"),
     ],
 )
 def test_subcommand_rejects_options_it_does_not_read(capsys, subcommand, extra, message):
@@ -341,3 +351,24 @@ def test_subcommand_rejects_options_it_does_not_read(capsys, subcommand, extra, 
     assert code == 2
     assert message in err
     assert out == ""
+
+
+def _format_choices():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, subparser in sub.choices.items():
+        for action in subparser._actions:
+            if "--format" in action.option_strings:
+                yield pytest.param(name, action.choices, id=name)
+
+
+@pytest.mark.parametrize("subcommand, choices", _format_choices())
+def test_format_choices_print_distinct_output(capsys, subcommand, choices):
+    # a --format value whose output starts like another's is a second
+    # name for it, not a format
+    firsts = []
+    for choice in choices:
+        code, out, err = run(capsys, *VALID_ARGV[subcommand], "--format", choice)
+        assert code == 0, err
+        firsts.append(out.splitlines()[0])
+    assert len(set(firsts)) == len(firsts), dict(zip(choices, firsts))
