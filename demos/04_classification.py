@@ -31,7 +31,7 @@ for p, l, m in [(3, 1, 4), (3, 2, 6), (2, 3, 6), (2, 5, 15)]:
 # depth-one types attain the bound, matching the legacy table
 print()
 for m in (3, 4, 5):
-    assert count_classes(3, 1, m, method="canonical-reduce") == type_1m_class_count(3, m)
+    assert count_classes(3, 1, m) == type_1m_class_count(3, m)
     print("d(3, <1,%d>) = %d" % (m, type_1m_class_count(3, m)))
 
 # l >= p: reduced forms of type <3,6> over F_2 merge in pairs

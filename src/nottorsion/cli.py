@@ -21,7 +21,7 @@ import time
 from .acceptance import DEFAULT_SEED, run_all, run_criterion
 from .characters import (
     break_sequence,
-    character_count,
+    enumerate_characters,
     format_character_literal,
     parse_character_literal,
     require_valid_type,
@@ -37,7 +37,6 @@ from .equivalence import (
     power_conjugacy_criterion,
     power_conjugacy_oracle,
     reduced_form_bound,
-    require_budget,
 )
 from .reduction import reduce as reduce_character
 from .reduction import verify_witness
@@ -199,17 +198,12 @@ def _tables_rows(p, max_l, max_m, budget):
                    "B": reduced_form_bound(p, l, m), "d": "",
                    "method": "refused", "runtime_ms": 0}
             rows.append(row)
-            method = "canonical-reduce" if l < p else "oracle-partition"
-            # canonical-reduce reduces every character of the type; the
-            # partition refuses past p^m by itself
-            if l < p and character_count(p, l, m) > budget:
-                continue
             t0 = time.perf_counter()
             try:
-                row["d"] = count_classes(p, l, m, method=method, budget=budget)
+                row["d"] = count_classes(p, l, m, budget=budget)
             except BudgetExceeded:
                 continue
-            row["method"] = method
+            row["method"] = "oracle-partition"
             row["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
     return rows
 
@@ -249,19 +243,16 @@ def cmd_power_conj(args):
     status = 0
     skip = "--no-oracle" if args.no_oracle else None
     if skip is None:
+        if chi is None:
+            chi = next(iter(enumerate_characters(args.p, l, m)))
         try:
-            require_budget(args.p, m, args.budget)
+            found, w = power_conjugacy_oracle(chi, args.n, budget=args.budget)
         except BudgetExceeded as exc:
             skip = "search cost %s exceeds budget %d" % (exc.cost_text, args.budget)
     if skip is not None:
         lines.append("oracle     skipped (%s)" % skip)
         report["oracle"] = None
     else:
-        if chi is None:
-            from .characters import enumerate_characters
-
-            chi = next(iter(enumerate_characters(args.p, l, m)))
-        found, w = power_conjugacy_oracle(chi, args.n, budget=args.budget)
         report["character"] = format_character_literal(chi)
         report["oracle"] = found
         report["witness"] = w.to_text() if w else None

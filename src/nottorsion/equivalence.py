@@ -14,14 +14,6 @@ each prefix.  The trailing coefficient a_m is pinned to zero: it shifts
 chi(u(t)/t) only by a multiple of p and never enters the action, so
 every equivalence witnessed in F_p^m is witnessed with a_m = 0, and the
 lexicographically smallest witness has a_m = 0.
-
-Class counting comes in two flavors.  `count_classes` with method
-"oracle-partition" unions reduced forms by exhaustive search and counts
-orbits with no appeal to theory beyond the action itself.  Method
-"canonical-reduce" reduces every character of the type and counts
-distinct reduced forms, a class count only when l < p (where the reduced
-form is a complete invariant).  It is the slow path, one reduction per
-character, kept as an independent cross-check: it shares no search code.
 """
 
 from __future__ import annotations
@@ -40,7 +32,7 @@ from .characters import (
     require_valid_type,
     scalar_mul,
 )
-from .reduction import Witness, reduce as _reduce_char
+from .reduction import Witness
 from .series import NottinghamElement, _strip_run, as_prime
 
 DEFAULT_BUDGET = 1 << 26
@@ -381,30 +373,10 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
     )
 
 
-def count_classes(p, l, m, method: str = "oracle-partition", budget: int = DEFAULT_BUDGET) -> int:
-    """Number of strict classes of type <l, m>.
-
-    "canonical-reduce" counts distinct reduced forms over all characters
-    of the type; it requires l < p, the range where the reduced form
-    separates classes.  "oracle-partition" delegates to the exhaustive
-    partition and needs p^m within budget.
-    """
-    prime = as_prime(p)
-    require_valid_type(prime, l, m)
-    if method == "canonical-reduce":
-        if l >= prime.p:
-            raise ValueError(
-                "canonical-reduce is only a class count for l < p (l=%d, p=%d)"
-                % (l, prime.p)
-            )
-        seen = set()
-        for chi in enumerate_characters(prime, l, m):
-            rf, _ = _reduce_char(chi)
-            seen.add(rf)
-        return len(seen)
-    if method == "oracle-partition":
-        return partition_reduced_forms(prime, l, m, budget).class_count
-    raise ValueError("unknown method %r" % method)
+def count_classes(p, l, m, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of strict classes of type <l, m>, by the exhaustive
+    partition; raises BudgetExceeded when p^m exceeds the budget."""
+    return partition_reduced_forms(p, l, m, budget).class_count
 
 
 # ---------------------------------------------------------------------------
@@ -441,26 +413,28 @@ def order_p_class_count(p) -> int:
     return as_prime(p).p - 1
 
 
-def type_1m_class_count(p, m) -> int:
-    """Published strict class count for type <1, m>."""
-    p = as_prime(p).p
-    require_valid_type(p, 1, m)
+def _depth_table_count(p, m) -> int:
+    """The published piecewise count by m mod p: p(p-1) at 0, (p-1)^2
+    at 1, p(p-1)^2 otherwise."""
     if m % p == 0:
         return p * (p - 1)
     if m % p == 1:
         return (p - 1) ** 2
     return p * (p - 1) ** 2
+
+
+def type_1m_class_count(p, m) -> int:
+    """Published strict class count for type <1, m>."""
+    p = as_prime(p).p
+    require_valid_type(p, 1, m)
+    return _depth_table_count(p, m)
 
 
 def type_2m_weak_class_count(p, m) -> int:
     """Published weak class count for type <2, m>."""
     p = as_prime(p).p
     require_valid_type(p, 2, m)
-    if m % p == 0:
-        return p * (p - 1)
-    if m % p == 1:
-        return (p - 1) ** 2
-    return p * (p - 1) ** 2
+    return _depth_table_count(p, m)
 
 
 # ---------------------------------------------------------------------------

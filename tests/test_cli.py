@@ -182,6 +182,28 @@ def test_tables_json_matches_csv(capsys):
     assert by_type[(1, 2)]["valid"] == "no"
 
 
+def test_tables_refuses_past_p_to_the_m(capsys):
+    # one cost model, p^m, for every row: <1,4> has 36 characters but
+    # costs 3^4 = 81 > 50
+    code, out, err = run(capsys, "tables", "--p", "3", "--l", "1", "--m", "4",
+                         "--budget", "50")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[2].split(",")[:7] == ["3", "1", "3", "yes", "6", "6", "oracle-partition"]
+    assert lines[3] == "3,1,4,yes,4,,refused,0"
+
+
+def test_tables_rows_below_p_meet_the_bound(capsys):
+    # below p the partition's class count attains the bound
+    code, out, err = run(capsys, "tables", "--p", "3", "--l", "2", "--m", "8",
+                         "--format", "json")
+    assert code == 0
+    computed = [r for r in json.loads(out) if r["valid"] == "yes"]
+    assert len(computed) == 8
+    for r in computed:
+        assert (r["d"], r["method"]) == (r["B"], "oracle-partition"), r
+
+
 # ---------------------------------------------------------------------------
 # power-conj
 
@@ -235,6 +257,16 @@ def test_power_conj_oracle_skipped_at_huge_cost(capsys):
     assert "predicate  not conjugate" in out
     assert "oracle     skipped (search cost 31^3001 exceeds budget 67108864)" in out
     assert err == ""
+
+
+@pytest.mark.parametrize("budget", ["10", "1000"])
+def test_power_conj_n_divisible_by_p_is_an_error_at_any_budget(capsys, budget):
+    # the oracle rejects n before it checks the cost, 3^4 = 81
+    code, out, err = run(capsys, "power-conj", "--p", "3", "--l", "1", "--m", "4",
+                         "--n", "3", "--budget", budget)
+    assert code == 2
+    assert "n must be coprime to p" in err
+    assert out == ""
 
 
 def test_power_conj_no_oracle_flag(capsys):

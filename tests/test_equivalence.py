@@ -1,8 +1,8 @@
 """Equivalence search, class counting, and conjugacy tests.
 
-Brute-force results are cross-checked three ways where feasible: against
-the closed-form count, against canonical reduction (valid for l < p),
-and against a naive in-test scan over the full candidate space.
+Brute-force results are cross-checked two ways where feasible: against
+the closed-form count and against a naive in-test scan over the full
+candidate space.
 """
 
 import itertools
@@ -38,7 +38,7 @@ from nottorsion.equivalence import (
     weak_class_count,
     weak_equiv_search,
 )
-from nottorsion.reduction import verify_witness
+from nottorsion.reduction import reduce, verify_witness
 from nottorsion.series import (
     NottinghamElement,
     UnitSeries,
@@ -184,7 +184,7 @@ def test_budget_refusals():
     with pytest.raises(BudgetExceeded):
         partition_reduced_forms(2, 5, 15, budget=1000)
     with pytest.raises(BudgetExceeded):
-        count_classes(2, 5, 15, method="oracle-partition", budget=1000)
+        count_classes(2, 5, 15, budget=1000)
     with pytest.raises(BudgetExceeded):
         power_conjugacy_oracle(parse_character_literal("5:1,15:2", 2), 3, budget=1000)
 
@@ -307,16 +307,13 @@ def test_count_classes_methods_agree():
     cases = {(2, 1, 2): 2, (2, 1, 3): 1, (2, 1, 5): 1, (3, 1, 3): 6,
              (3, 1, 4): 4, (3, 1, 5): 12, (3, 2, 7): 12}
     for (p, l, m), want in cases.items():
-        assert count_classes(p, l, m, method="canonical-reduce") == want
-        assert count_classes(p, l, m, method="oracle-partition") == want
+        # reduce reaches every reduced form, and below p each is a class
+        canonical = {reduce(chi)[0] for chi in enumerate_characters(p, l, m)}
+        assert len(canonical) == want
+        assert count_classes(p, l, m) == want
 
 
 def test_count_classes_bad_method_and_domain():
-    with pytest.raises(ValueError):
-        count_classes(2, 1, 2, method="guess")
-    # canonical reduction only separates classes when l < p
-    with pytest.raises(ValueError):
-        count_classes(2, 5, 15, method="canonical-reduce")
     with pytest.raises(ValueError):
         count_classes(3, 2, 5)  # invalid type
 
