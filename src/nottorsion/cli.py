@@ -16,7 +16,6 @@ answer presented as complete.
 import argparse
 import json
 import sys
-import time
 
 from .acceptance import DEFAULT_SEED, run_all, run_criterion
 from .characters import (
@@ -30,9 +29,7 @@ from .characters import (
 from .equivalence import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    ClassReport,
     bound_exponents,
-    count_classes,
     partition_reduced_forms,
     power_conjugacy_criterion,
     power_conjugacy_oracle,
@@ -70,10 +67,8 @@ def build_parser():
                           help='character literal, e.g. "1:1,2:3,4:3"')
     p_reduce.set_defaults(func=cmd_reduce)
 
-    p_classify = sub.add_parser("classify", parents=[budget],
+    p_classify = sub.add_parser("classify", parents=[budget, plain],
                                 help="partition the reduced forms of a type")
-    p_classify.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                            help="output format (default text)")
     p_classify.add_argument("--p", type=int, required=True)
     p_classify.add_argument("--l", type=int, required=True)
     p_classify.add_argument("--m", type=int, required=True)
@@ -150,15 +145,12 @@ def cmd_classify(args):
     rep = partition_reduced_forms(args.p, args.l, args.m, budget=args.budget)
     if args.format == "json":
         print(json.dumps(rep.to_json_dict()))
-    elif args.format == "csv":
-        print(ClassReport.CSV_HEADER)
-        print(rep.csv_row())
     else:
         print(
             "type <%d,%d> over F_%d: %d reduced forms, %d class(es), "
-            "method %s, search space %d, %d ms"
+            "search space %d, %d ms"
             % (args.l, args.m, args.p, rep.bound, rep.class_count,
-               rep.method, rep.search_space_size, rep.runtime_ms)
+               rep.search_space_size, rep.runtime_ms)
         )
         for idx, cls in enumerate(rep.classes):
             members = " | ".join(
@@ -183,7 +175,7 @@ def cmd_bound(args):
     return 0
 
 
-TABLES_HEADER = "p,l,m,valid,B,d,method,runtime_ms"
+TABLES_HEADER = "p,l,m,valid,B,d,runtime_ms"
 
 
 def _tables_rows(p, max_l, max_m, budget):
@@ -192,19 +184,17 @@ def _tables_rows(p, max_l, max_m, budget):
         for m in range(2, max_m + 1):
             if not validate_type(p, l, m):
                 rows.append({"p": p, "l": l, "m": m, "valid": "no",
-                             "B": "", "d": "", "method": "", "runtime_ms": 0})
+                             "B": "", "d": "", "runtime_ms": 0})
                 continue
             row = {"p": p, "l": l, "m": m, "valid": "yes",
-                   "B": reduced_form_bound(p, l, m), "d": "",
-                   "method": "refused", "runtime_ms": 0}
+                   "B": reduced_form_bound(p, l, m), "d": "", "runtime_ms": 0}
             rows.append(row)
-            t0 = time.perf_counter()
             try:
-                row["d"] = count_classes(p, l, m, budget=budget)
+                rep = partition_reduced_forms(p, l, m, budget=budget)
             except BudgetExceeded:
                 continue
-            row["method"] = "oracle-partition"
-            row["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
+            row["d"] = rep.class_count
+            row["runtime_ms"] = rep.runtime_ms
     return rows
 
 
@@ -215,7 +205,7 @@ def cmd_tables(args):
     else:
         print(TABLES_HEADER)
         for r in rows:
-            print("%(p)s,%(l)s,%(m)s,%(valid)s,%(B)s,%(d)s,%(method)s,%(runtime_ms)s" % r)
+            print("%(p)s,%(l)s,%(m)s,%(valid)s,%(B)s,%(d)s,%(runtime_ms)s" % r)
     return 0
 
 

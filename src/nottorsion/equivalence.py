@@ -29,11 +29,12 @@ from .characters import (
     char_eval,
     enumerate_characters,
     enumerate_reduced_forms,
+    format_character_literal,
     require_valid_type,
     scalar_mul,
 )
 from .reduction import Witness
-from .series import NottinghamElement, _strip_run, as_prime
+from .series import NottinghamElement, _strip_run, as_prime, format_nottingham_product
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -234,7 +235,6 @@ class ClassReport:
         "classes",
         "witnesses",
         "search_space_size",
-        "method",
         "runtime_ms",
     )
 
@@ -250,9 +250,6 @@ class ClassReport:
         return self.forms[self.classes[class_index][0]]
 
     def to_json_dict(self):
-        from .characters import format_character_literal
-        from .series import format_nottingham_product
-
         return {
             "p": self.prime.p,
             "l": self.l,
@@ -260,7 +257,6 @@ class ClassReport:
             "bound": self.bound,
             "class_count": self.class_count,
             "search_space_size": self.search_space_size,
-            "method": self.method,
             "runtime_ms": self.runtime_ms,
             "classes": [
                 {
@@ -290,19 +286,6 @@ class ClassReport:
                 for cls in self.classes
             ],
         }
-
-    def csv_row(self):
-        return "%d,%d,%d,%d,%d,%s,%d" % (
-            self.prime.p,
-            self.l,
-            self.m,
-            self.bound,
-            self.class_count,
-            self.method,
-            self.runtime_ms,
-        )
-
-    CSV_HEADER = "p,l,m,B,d,method,runtime_ms"
 
 
 def _find(parent, i):
@@ -368,7 +351,6 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
         classes=tuple(classes),
         witnesses=tuple(witnesses),
         search_space_size=p**m,
-        method="oracle-partition",
         runtime_ms=runtime_ms,
     )
 

@@ -37,7 +37,14 @@ from .characters import (
     char_eval,
     is_reduced,
 )
-from .series import NottinghamElement, UnitSeries, nott_compose, unit_mul, unit_pow
+from .series import (
+    NottinghamElement,
+    UnitSeries,
+    format_nottingham_product,
+    nott_compose,
+    unit_mul,
+    unit_pow,
+)
 
 
 class Witness:
@@ -69,8 +76,6 @@ class Witness:
         return self.element.prime
 
     def to_text(self):
-        from .series import format_nottingham_product
-
         return format_nottingham_product(self.element)
 
     def __eq__(self, other):

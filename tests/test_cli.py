@@ -81,17 +81,8 @@ def test_classify_json(capsys):
     payload = json.loads(out)
     assert payload["class_count"] == 2
     assert payload["bound"] == 4
-    assert payload["method"] == "oracle-partition"
-
-
-def test_classify_csv(capsys):
-    code, out, err = run(capsys, "classify", "--p", "2", "--l", "3", "--m", "6",
-                         "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "p,l,m,B,d,method,runtime_ms"
-    cells = lines[1].split(",")
-    assert cells[:5] == ["2", "3", "6", "4", "2"]
+    assert set(payload) == {"p", "l", "m", "bound", "class_count",
+                            "search_space_size", "runtime_ms", "classes"}
 
 
 def test_classify_budget_refusal(capsys):
@@ -160,11 +151,11 @@ def test_tables_shape_and_rows(capsys):
     # grid is every (l, m) with 1 <= l <= 3, 2 <= m <= 7
     assert set(rows) == {(l, m) for l in (1, 2, 3) for m in range(2, 8)}
     # l = 2 collides with p = 2, so the whole row band is invalid
-    assert rows[(2, 4)] == ["2", "2", "4", "no", "", "", "", "0"]
+    assert rows[(2, 4)] == ["2", "2", "4", "no", "", "", "0"]
     # within budget: 2^6 = 64 <= 100
-    assert rows[(3, 6)][:7] == ["2", "3", "6", "yes", "4", "2", "oracle-partition"]
+    assert rows[(3, 6)][:6] == ["2", "3", "6", "yes", "4", "2"]
     # over budget: 2^7 = 128 > 100, bound still printed, count refused
-    assert rows[(3, 7)] == ["2", "3", "7", "yes", "2", "", "refused", "0"]
+    assert rows[(3, 7)] == ["2", "3", "7", "yes", "2", "", "0"]
 
 
 def test_tables_json_matches_csv(capsys):
@@ -189,8 +180,8 @@ def test_tables_refuses_past_p_to_the_m(capsys):
                          "--budget", "50")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[2].split(",")[:7] == ["3", "1", "3", "yes", "6", "6", "oracle-partition"]
-    assert lines[3] == "3,1,4,yes,4,,refused,0"
+    assert lines[2].split(",")[:6] == ["3", "1", "3", "yes", "6", "6"]
+    assert lines[3] == "3,1,4,yes,4,,0"
 
 
 def test_tables_rows_below_p_meet_the_bound(capsys):
@@ -201,7 +192,7 @@ def test_tables_rows_below_p_meet_the_bound(capsys):
     computed = [r for r in json.loads(out) if r["valid"] == "yes"]
     assert len(computed) == 8
     for r in computed:
-        assert (r["d"], r["method"]) == (r["B"], "oracle-partition"), r
+        assert r["d"] == r["B"], r
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +365,7 @@ VALID_ARGV = {
         ("power-conj", ("--format", "csv"), "invalid choice"),
         ("verify", ("--format", "csv"), "invalid choice"),
         ("tables", ("--format", "csv"), "invalid choice"),
+        ("classify", ("--format", "csv"), "invalid choice"),
     ],
 )
 def test_subcommand_rejects_options_it_does_not_read(capsys, subcommand, extra, message):

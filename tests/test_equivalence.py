@@ -24,7 +24,6 @@ from nottorsion.characters import (
 from nottorsion.equivalence import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    ClassReport,
     bound_exponents,
     count_classes,
     order_p_class_count,
@@ -203,7 +202,6 @@ def test_partition_small_cases():
         assert len(rep.forms) == rep.bound
         assert sum(len(c) for c in rep.classes) == rep.bound
         assert rep.search_space_size == p**m
-        assert rep.method == "oracle-partition"
         for (i, j, elt) in rep.witnesses:
             chk = verify_witness(
                 rep.forms[i].to_character(), rep.forms[j].to_character(), elt
@@ -242,10 +240,6 @@ def test_partition_report_structure():
     first = data["classes"][0]
     assert first["representative"] == "3:1"
     assert [m["character"] for m in first["members"]] == ["3:1", "3:1,5:2"]
-    row = rep.csv_row()
-    cells = row.split(",")
-    assert len(cells) == len(ClassReport.CSV_HEADER.split(","))
-    assert cells[:5] == ["2", "3", "6", "4", "2"]
     assert rep.runtime_ms >= 0
 
 
