@@ -371,20 +371,29 @@ def _pairing(pairs, coeffs, psq):
     return total % psq
 
 
+def _action_row(j, zj, p, psq, m):
+    """`_decompose_raw` exponents of E_j o u = 1 + t^j z^j to depth m.
+
+    zj is z^j, the j-th power of the raw unit part of u, through degree
+    m - j; so the row reads only the unit digits a_1 .. a_(m-j) of u.
+    """
+    return _decompose_raw([1, *[0] * (j - 1), *zj], p, psq, m)
+
+
 def _action_rows(z, p, psq, m):
     """Decompositions of E_j o u = 1 + t^j z^j at the coprime j <= m.
 
     z is the raw unit part of u, read through degree m - 1.  Lazily
-    yields (j, exps) in ascending j, with exps the `_decompose_raw`
-    exponents of E_j o u to depth m; the value of the acted character at
-    j is then the `_pairing` of exps with chi.  A consumer that stops early
-    skips the powers of z and the decompositions it did not need.
+    yields (j, exps) in ascending j, with exps the `_action_row` of j;
+    the value of the acted character at j is then the `_pairing` of exps
+    with chi.  A consumer that stops early skips the powers of z and the
+    decompositions it did not need.
     """
     zp = [1]
     for j in range(1, (m if m % p else m - 1) + 1):
         zp = _mul_raw(zp, z, p, m - j)
         if j % p:
-            yield j, _decompose_raw([1, *[0] * (j - 1), *zp], p, psq, m)
+            yield j, _action_row(j, zp, p, psq, m)
 
 
 def char_act(u: NottinghamElement, chi: Character) -> Character:

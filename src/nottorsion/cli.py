@@ -42,6 +42,17 @@ from .series import ParseError, format_nottingham_product
 __all__ = ["main", "console_main", "build_parser"]
 
 
+def _budget_value(text):
+    """A --budget value: an int >= 0; a budget of 0 refuses every search."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nottorsion",
@@ -49,7 +60,7 @@ def build_parser():
         "of the Nottingham group.",
     )
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    budget.add_argument("--budget", type=_budget_value, default=DEFAULT_BUDGET,
                         help="largest brute-force search allowed (default 2^26)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=DEFAULT_SEED,

@@ -9,10 +9,16 @@ a miss is a proof of non-equivalence, subject only to the cost budget.
 
 The action of u on a character of bound m reads only the unit
 coefficients a_1 .. a_(m-1) of u, and the kernel condition mod p reads
-only a_1 .. a_l, so the scan runs over F_p^(m-1) with a kernel test on
-each prefix.  The trailing coefficient a_m is pinned to zero: it shifts
-chi(u(t)/t) only by a multiple of p and never enters the action, so
-every equivalence witnessed in F_p^m is witnessed with a_m = 0, and the
+only a_1 .. a_l.  The strict and weak searches scan F_p^(m-1) with a
+kernel test on each length-l prefix.  The partition walks the same
+candidates as a prefix tree, depth-first and in the same order: the
+acted value at j reads only a_1 .. a_(m-j), so it compares values as
+soon as their digits are fixed, and it prunes a prefix that fails the
+kernel test or can join no two classes still apart.
+
+The trailing coefficient a_m is pinned to zero: it shifts chi(u(t)/t)
+only by a multiple of p and never enters the action, so every
+equivalence witnessed in F_p^m is witnessed with a_m = 0, and the
 lexicographically smallest witness has a_m = 0.
 """
 
@@ -23,6 +29,7 @@ import time
 
 from .characters import (
     Character,
+    _action_row,
     _action_rows,
     _pairing,
     break_sequence,
@@ -34,7 +41,13 @@ from .characters import (
     scalar_mul,
 )
 from .reduction import Witness
-from .series import NottinghamElement, _strip_run, as_prime, format_nottingham_product
+from .series import (
+    NottinghamElement,
+    _pow_raw,
+    _strip_run,
+    as_prime,
+    format_nottingham_product,
+)
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -307,34 +320,65 @@ def _union(parent, i, j):
 def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassReport:
     """Partition the reduced forms of type <l, m> into strict classes.
 
-    A single lexicographic scan over candidate elements evaluates the
-    action on every reduced form at once; two forms land in one class
-    exactly when some chain of witnessed moves connects them.  Reduced
-    forms have no unit digits below l, so one kernel test covers every
-    source; it reads only a_1 .. a_l and runs once per length-l prefix.
+    A depth-first walk over the unit digits a_1 .. a_(m-1), each ascending,
+    reaches the candidate elements in lexicographic order and evaluates
+    the action on every reduced form at once; two forms land in one class
+    exactly when some chain of witnessed moves connects them.  Row j of
+    the action reads only a_1 .. a_(m-j), so at depth d the walk compares
+    the acted values at the coprime j = m - d, and keeps, for each source
+    form, the target forms that agree with it at every j compared so far.
+    Reduced forms have no unit digits below l, so one kernel test covers
+    every source; it reads only a_1 .. a_l and runs once at depth l.
+
+    A subtree is pruned when its prefix fails the kernel test, when no
+    (source, target) pair is left, or when every pair left is already
+    joined: components only grow, so no leaf below can add a union.  The
+    leaves that remain union their pairs in source order, as a flat scan
+    of every candidate would, so classes and witnesses are the same.
     """
     started = time.perf_counter()
     prime = as_prime(p)
-    p = prime.p
+    p, psq = prime.p, prime.psq
     require_valid_type(prime, l, m)
     require_budget(p, m, budget)
     forms = list(enumerate_reduced_forms(prime, l, m))
-    chars = [f.to_character() for f in forms]
+    coeffs = [f.to_character().coeffs for f in forms]
     n = len(forms)
-    scanner = _ActionScanner(prime, m)
-    index_of = scanner.index(chars)
     parent = list(range(n))
     witnesses = []
-    remaining = n
-    for z in _candidates(p, m, l, lambda head: _kernel_root(head, p, l)):
-        mat = scanner.action_matrix(z)
-        for i in range(n):
-            hit = index_of.get(scanner.apply_matrix(mat, chars[i].coeffs))
-            if hit is not None and _union(parent, i, hit):
-                elt = NottinghamElement.from_unit_coeffs(prime, z[1:])
-                witnesses.append((i, hit, elt))
-                remaining -= 1
-        if remaining == 1:
+
+    # depth-first over prefixes z = [1, a_1, ..., a_d]; live[i] lists the
+    # targets still matching source i.  An explicit stack keeps deep types
+    # clear of the recursion limit; children are pushed in reverse so the
+    # walk pops them with a_(d+1) ascending.
+    stack = [([1], [tuple(range(n))] * n)]
+    while stack:
+        z, live = stack.pop()
+        d = len(z) - 1
+        j = m - d
+        if j % p:
+            row = _action_row(j, _pow_raw(z, j, p, d), p, psq, m).items()
+            kept = []
+            for i, ks in enumerate(live):
+                if ks:
+                    v = _pairing(row, coeffs[i], psq)
+                    ks = tuple(k for k in ks if coeffs[k].get(j, 0) == v)
+                kept.append(ks)
+            live = kept
+        if d == l and _kernel_root(z, p, l):
+            continue
+        if all(_find(parent, i) == _find(parent, k)
+               for i, ks in enumerate(live) for k in ks):
+            continue
+        if d < m - 1:
+            stack.extend(([*z, a], live) for a in reversed(range(p)))
+            continue
+        for i, ks in enumerate(live):
+            # every coprime j is compared, so at most one target is left
+            if ks and _union(parent, i, ks[0]):
+                elt = NottinghamElement.from_unit_coeffs(prime, [*z[1:], 0])
+                witnesses.append((i, ks[0], elt))
+        if len(witnesses) == n - 1:
             break
     groups = {}
     for i in range(n):

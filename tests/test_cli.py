@@ -104,6 +104,23 @@ def test_classify_budget_refusal_at_huge_cost(capsys):
     assert out == ""
 
 
+def test_classify_negative_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "classify", "--p", "2", "--l", "3", "--m", "6",
+                         "--budget", "-5")
+    assert code == 2
+    assert "argument --budget: must be >= 0, got -5" in err
+    assert out == ""
+    # a budget of 0 is valid and refuses every search
+    code, out, err = run(capsys, "classify", "--p", "2", "--l", "3", "--m", "6",
+                         "--budget", "0")
+    assert code == 3
+    assert "budget refused" in err
+    code, out, err = run(capsys, "classify", "--p", "2", "--l", "3", "--m", "6",
+                         "--budget", "lots")
+    assert code == 2
+    assert "argument --budget: invalid int value: 'lots'" in err
+
+
 def test_classify_invalid_type(capsys):
     code, out, err = run(capsys, "classify", "--p", "2", "--l", "2", "--m", "4")
     assert code == 2

@@ -274,17 +274,38 @@ def naive_partition(p, l, m):
 
 
 @pytest.mark.parametrize(
-    "p, l, m", [(2, 3, 6), (2, 3, 11), (2, 5, 10), (2, 5, 11), (3, 1, 4), (3, 2, 6)]
+    "p, l, m",
+    [(2, 3, 6), (2, 3, 11), (2, 5, 10), (2, 5, 11), (3, 1, 4), (3, 2, 6),
+     (3, 1, 7), (3, 2, 8), (2, 3, 9), (2, 5, 13)],
 )
 def test_partition_visit_order_matches_naive_scan(p, l, m):
-    # pins classes and witnesses, in order: the partition tests the kernel
-    # once per length-l prefix and must still record the same first unions
+    # pins classes and witnesses, in order: the partition prunes prefixes
+    # by the kernel test and by the acted values it has compared, and must
+    # still record the same first unions as a scan of every candidate
     rep = partition_reduced_forms(p, l, m)
     classes, witnesses = naive_partition(p, l, m)
     assert list(rep.classes) == classes
     assert [
         (i, j, format_nottingham_product(elt)) for i, j, elt in rep.witnesses
     ] == witnesses
+
+
+@pytest.mark.parametrize(
+    "l, m, want",
+    [(3, 9, 2), (3, 11, 1), (3, 13, 2),
+     (5, 13, 2), (5, 15, 1), (5, 17, 2), (5, 19, 1),
+     (7, 15, 2), (7, 17, 2), (7, 19, 3)],
+)
+def test_class_counts_at_or_above_p_over_f2(l, m, want):
+    # for l >= p the paper proves only d <= B; these counts are complete
+    # search results, and every merge carries a checked witness
+    rep = partition_reduced_forms(2, l, m)
+    assert rep.class_count == want
+    assert rep.class_count <= rep.bound
+    for (i, j, elt) in rep.witnesses:
+        assert verify_witness(
+            rep.forms[i].to_character(), rep.forms[j].to_character(), elt
+        ).ok
 
 
 def test_partition_report_immutable():
