@@ -10,11 +10,12 @@ a miss is a proof of non-equivalence, subject only to the cost budget.
 The action of u on a character of bound m reads only the unit
 coefficients a_1 .. a_(m-1) of u, and the kernel condition mod p reads
 only a_1 .. a_l.  The strict and weak searches scan F_p^(m-1) with a
-kernel test on each length-l prefix.  The partition walks the same
+kernel test on each length-l prefix.  The class counts walk the same
 candidates as a prefix tree, depth-first and in the same order: the
-acted value at j reads only a_1 .. a_(m-j), so it compares values as
-soon as their digits are fixed, and it prunes a prefix that fails the
-kernel test or can join no two classes still apart.
+acted value at j reads only a_1 .. a_(m-j), so the walk compares values
+as soon as their digits are fixed, and it prunes a prefix that can join
+no two classes still apart.  With the kernel test it gives the strict
+classes of the reduced forms, without it the weak classes of the type.
 
 The trailing coefficient a_m is pinned to zero: it shifts chi(u(t)/t)
 only by a multiple of p and never enters the action, so every
@@ -34,7 +35,6 @@ from .characters import (
     _pairing,
     break_sequence,
     char_eval,
-    enumerate_characters,
     enumerate_reduced_forms,
     format_character_literal,
     require_valid_type,
@@ -118,18 +118,16 @@ def _kernel_value_modp(z_head, p, l, xdig):
 
 
 class _ActionScanner:
-    """Per-candidate evaluation of the action on characters of bound m."""
+    """Per-candidate evaluation of the action on characters of bound m.
+
+    _flat_scan calls `matches`; the orbit-count oracle in the tests calls
+    the other two.  The benchmark's tracer wraps all three by name.
+    """
 
     def __init__(self, prime, m):
         self.p = prime.p
         self.psq = prime.psq
         self.m = m
-        self.cop = [j for j in range(1, m + 1) if j % prime.p]
-
-    def index(self, chars):
-        """Map each character's value vector over the coprime indices, the
-        key apply_matrix returns, to its position in chars."""
-        return {tuple(c.value(j) for j in self.cop): i for i, c in enumerate(chars)}
 
     def matches(self, z, src_coeffs, tgt_coeffs):
         """True when the candidate maps src to tgt at every coprime index;
@@ -226,7 +224,7 @@ def weak_equiv_search(chi: Character, psi: Character, budget: int = DEFAULT_BUDG
 
 
 # ---------------------------------------------------------------------------
-# Partition of reduced forms into strict classes.
+# Partition of reduced forms into strict and weak classes.
 
 
 class ClassReport:
@@ -317,30 +315,29 @@ def _union(parent, i, j):
     return True
 
 
-def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassReport:
-    """Partition the reduced forms of type <l, m> into strict classes.
+def _join_reduced_forms(prime, l, m, strict):
+    """Join the reduced forms of <l, m> into classes by union-find;
+    strict turns the kernel test on.
 
     A depth-first walk over the unit digits a_1 .. a_(m-1), each ascending,
     reaches the candidate elements in lexicographic order and evaluates
-    the action on every reduced form at once; two forms land in one class
-    exactly when some chain of witnessed moves connects them.  Row j of
-    the action reads only a_1 .. a_(m-j), so at depth d the walk compares
-    the acted values at the coprime j = m - d, and keeps, for each source
-    form, the target forms that agree with it at every j compared so far.
-    Reduced forms have no unit digits below l, so one kernel test covers
-    every source; it reads only a_1 .. a_l and runs once at depth l.
+    the action on every form at once; two forms land in one class exactly
+    when some chain of witnessed moves connects them.  Row j of the action
+    reads only a_1 .. a_(m-j), so at depth d the walk compares the acted
+    values at the coprime j = m - d, and keeps, for each source form, the
+    target forms that agree with it at every j compared so far.  Reduced
+    forms have no unit digits below l, so one kernel test covers every
+    source; it reads only a_1 .. a_l and runs once at depth l.
 
     A subtree is pruned when its prefix fails the kernel test, when no
     (source, target) pair is left, or when every pair left is already
     joined: components only grow, so no leaf below can add a union.  The
     leaves that remain union their pairs in source order, as a flat scan
-    of every candidate would, so classes and witnesses are the same.
+    of every candidate would.  Returns (forms, parent, witnesses), the
+    forms in enumeration order and the witnesses as (source, target,
+    element) triples, one per union, in that order.
     """
-    started = time.perf_counter()
-    prime = as_prime(p)
     p, psq = prime.p, prime.psq
-    require_valid_type(prime, l, m)
-    require_budget(p, m, budget)
     forms = list(enumerate_reduced_forms(prime, l, m))
     coeffs = [f.to_character().coeffs for f in forms]
     n = len(forms)
@@ -365,7 +362,7 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
                     ks = tuple(k for k in ks if coeffs[k].get(j, 0) == v)
                 kept.append(ks)
             live = kept
-        if d == l and _kernel_root(z, p, l):
+        if strict and d == l and _kernel_root(z, p, l):
             continue
         if all(_find(parent, i) == _find(parent, k)
                for i, ks in enumerate(live) for k in ks):
@@ -380,8 +377,25 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
                 witnesses.append((i, ks[0], elt))
         if len(witnesses) == n - 1:
             break
+    return forms, parent, witnesses
+
+
+def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassReport:
+    """Partition the reduced forms of type <l, m> into strict classes.
+
+    The classes and witnesses come from the pruned walk of
+    _join_reduced_forms with the kernel test on, and are the same as a
+    flat scan of every candidate would give.  Raises BudgetExceeded when
+    p^m exceeds the budget.
+    """
+    started = time.perf_counter()
+    prime = as_prime(p)
+    p = prime.p
+    require_valid_type(prime, l, m)
+    require_budget(p, m, budget)
+    forms, parent, witnesses = _join_reduced_forms(prime, l, m, strict=True)
     groups = {}
-    for i in range(n):
+    for i in range(len(forms)):
         groups.setdefault(_find(parent, i), []).append(i)
     classes = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
     runtime_ms = int((time.perf_counter() - started) * 1000)
@@ -403,6 +417,22 @@ def count_classes(p, l, m, budget: int = DEFAULT_BUDGET) -> int:
     """Number of strict classes of type <l, m>, by the exhaustive
     partition; raises BudgetExceeded when p^m exceeds the budget."""
     return partition_reduced_forms(p, l, m, budget).class_count
+
+
+def weak_class_count(p, l, m) -> int:
+    """Number of weak classes of type <l, m>.
+
+    Every character is strictly, hence weakly, equivalent to its reduced
+    form, so the weak classes of the type are those of its reduced forms:
+    the partition's walk with the kernel test off.  Each union joins two
+    components, so the count is the number of forms less the unions.
+    Unlike the partition it takes no budget; its cost is the nodes the
+    walk visits, at most about p^(m-1).
+    """
+    prime = as_prime(p)
+    require_valid_type(prime, l, m)
+    forms, _, witnesses = _join_reduced_forms(prime, l, m, strict=False)
+    return len(forms) - len(witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -461,41 +491,6 @@ def type_2m_weak_class_count(p, m) -> int:
     p = as_prime(p).p
     require_valid_type(p, 2, m)
     return _depth_table_count(p, m)
-
-
-# ---------------------------------------------------------------------------
-# Weak classes by orbit counting.
-
-
-def weak_class_count(p, l, m) -> int:
-    """Number of weak classes of type <l, m>, by explicit orbit counting.
-
-    The action on characters of bound m factors through the group
-    generated by the elementary elements t(1 + c t^k) with k < m, and the
-    action of a fixed element is linear in the character values, so each
-    generator acts through a small matrix of basis decompositions.
-    Orbits are computed by union-find over all characters of the type.
-    """
-    prime = as_prime(p)
-    p = prime.p
-    require_valid_type(prime, l, m)
-    chars = list(enumerate_characters(prime, l, m))
-    scanner = _ActionScanner(prime, m)
-    index_of = scanner.index(chars)
-    # generator action matrices: for each generator t(1+c t^k), the basis
-    # decomposition of E_j o g at every coprime j
-    matrices = []
-    for k in range(1, m):
-        for c in range(1, p):
-            z = [0] * (m + 1)
-            z[0] = 1
-            z[k] = c
-            matrices.append(scanner.action_matrix(z))
-    parent = list(range(len(chars)))
-    for i, chi in enumerate(chars):
-        for mat in matrices:
-            _union(parent, i, index_of[scanner.apply_matrix(mat, chi.coeffs)])
-    return len({_find(parent, i) for i in range(len(chars))})
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from nottorsion.characters import (
 from nottorsion.equivalence import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    _ActionScanner,
+    _find,
+    _union,
     bound_exponents,
     count_classes,
     order_p_class_count,
@@ -41,6 +44,7 @@ from nottorsion.reduction import reduce, verify_witness
 from nottorsion.series import (
     NottinghamElement,
     UnitSeries,
+    as_prime,
     format_nottingham_product,
     nott_compose,
 )
@@ -318,7 +322,7 @@ def test_partition_report_immutable():
 # Class counting and closed forms.
 
 
-def test_count_classes_methods_agree():
+def test_count_classes_equal_distinct_reduce_results():
     cases = {(2, 1, 2): 2, (2, 1, 3): 1, (2, 1, 5): 1, (3, 1, 3): 6,
              (3, 1, 4): 4, (3, 1, 5): 12, (3, 2, 7): 12}
     for (p, l, m), want in cases.items():
@@ -328,7 +332,7 @@ def test_count_classes_methods_agree():
         assert count_classes(p, l, m) == want
 
 
-def test_count_classes_bad_method_and_domain():
+def test_count_classes_rejects_invalid_type():
     with pytest.raises(ValueError):
         count_classes(3, 2, 5)  # invalid type
 
@@ -408,6 +412,62 @@ def test_weak_class_counts():
     assert weak_class_count(2, 3, 7) == 2
     for p, m in [(3, 6), (3, 7), (3, 8)]:
         assert weak_class_count(p, 2, m) == type_2m_weak_class_count(p, m)
+
+
+def orbit_weak_class_count(p, l, m):
+    """Oracle: number of weak classes of type <l, m>, by explicit orbit
+    counting over every character of the type.
+
+    The action on characters of bound m factors through the group
+    generated by the elementary elements t(1 + c t^k) with k < m, and the
+    action of a fixed element is linear in the character values, so each
+    generator acts through a small matrix of basis decompositions.
+    Orbits are computed by union-find over all characters of the type.
+    """
+    prime = as_prime(p)
+    p = prime.p
+    chars = list(enumerate_characters(prime, l, m))
+    scanner = _ActionScanner(prime, m)
+    # each character's value vector over the coprime indices, the key
+    # apply_matrix returns, to its position in chars
+    cop = [j for j in range(1, m + 1) if j % p]
+    index_of = {tuple(c.value(j) for j in cop): i for i, c in enumerate(chars)}
+    # generator action matrices: for each generator t(1+c t^k), the basis
+    # decomposition of E_j o g at every coprime j
+    matrices = []
+    for k in range(1, m):
+        for c in range(1, p):
+            z = [0] * (m + 1)
+            z[0] = 1
+            z[k] = c
+            matrices.append(scanner.action_matrix(z))
+    parent = list(range(len(chars)))
+    for i, chi in enumerate(chars):
+        for mat in matrices:
+            _union(parent, i, index_of[scanner.apply_matrix(mat, chi.coeffs)])
+    return len({_find(parent, i) for i in range(len(chars))})
+
+
+@pytest.mark.parametrize(
+    "p, l, m",
+    [(3, 2, 6), (3, 2, 7), (3, 2, 8), (3, 2, 10), (3, 1, 4), (3, 1, 5),
+     (5, 1, 6), (2, 3, 6), (2, 3, 7), (2, 5, 15),
+     # l >= p: deep F_2 types, where the walk, with no kernel test to
+     # prune by, is slowest
+     (2, 3, 9), (2, 5, 13), (2, 7, 15)],
+)
+def test_weak_class_count_matches_orbit_oracle(p, l, m):
+    # the walk counts the weak classes of the reduced forms; the oracle
+    # counts the orbits of every character under the generators
+    assert weak_class_count(p, l, m) == orbit_weak_class_count(p, l, m)
+
+
+@pytest.mark.parametrize("m, want", [(10, 20), (11, 16), (12, 80)])
+def test_published_depth_2_weak_counts_over_f5(m, want):
+    # one type per branch of the piecewise count: m = 0, 1 and 2 mod 5;
+    # these types have 7.8M to 156M characters, out of the oracle's reach
+    assert type_2m_weak_class_count(5, m) == want
+    assert weak_class_count(5, 2, m) == want
 
 
 def test_weak_counts_against_pairwise_search():
