@@ -113,17 +113,22 @@ def _pow_raw(a, e, p, n):
 
 def _subst_raw(f, z, p, n):
     # f(t*z(t)) truncated at degree n, where f is a raw series and z the
-    # unit part of the substituted element; z^k is only needed to degree n-k
+    # unit part of the substituted element; z^k is only needed to degree n-k.
+    # Only the nonzero f[k] need z^k, so zp jumps each gap between them
+    # with one power: the steps (1+t^k)^d (1+t^m)^e of a reduction are
+    # sparse by Lucas' theorem.
     out = [0] * (n + 1)
     out[0] = f[0] % p if f else 0
-    zp = [1]
-    for k in range(1, n + 1):
-        zp = _mul_raw(zp, z, p, n - k)
-        fk = f[k] if k < len(f) else 0
-        if fk:
-            for d, zd in enumerate(zp):
-                if zd:
-                    out[k + d] += fk * zd
+    zp, prev = [1], 0
+    for k in range(1, min(len(f), n + 1)):
+        fk = f[k]
+        if not fk:
+            continue
+        zg = z if k - prev == 1 else _pow_raw(z, k - prev, p, n - k)
+        zp, prev = _mul_raw(zp, zg, p, n - k), k
+        for d, zd in enumerate(zp):
+            if zd:
+                out[k + d] += fk * zd
     return [v % p for v in out]
 
 

@@ -11,8 +11,11 @@ import random
 
 import pytest
 
+from nottorsion import equivalence
 from nottorsion.characters import (
     Character,
+    _action_row,
+    _pairing,
     break_sequence,
     char_act,
     char_eval,
@@ -26,6 +29,7 @@ from nottorsion.equivalence import (
     BudgetExceeded,
     _ActionScanner,
     _find,
+    _top_weights,
     _union,
     bound_exponents,
     count_classes,
@@ -44,6 +48,7 @@ from nottorsion.reduction import reduce, verify_witness
 from nottorsion.series import (
     NottinghamElement,
     UnitSeries,
+    _pow_raw,
     as_prime,
     format_nottingham_product,
     nott_compose,
@@ -280,7 +285,7 @@ def naive_partition(p, l, m):
 @pytest.mark.parametrize(
     "p, l, m",
     [(2, 3, 6), (2, 3, 11), (2, 5, 10), (2, 5, 11), (3, 1, 4), (3, 2, 6),
-     (3, 1, 7), (3, 2, 8), (2, 3, 9), (2, 5, 13)],
+     (3, 1, 7), (3, 2, 8), (2, 3, 9), (2, 5, 13), (5, 1, 5), (5, 1, 6)],
 )
 def test_partition_visit_order_matches_naive_scan(p, l, m):
     # pins classes and witnesses, in order: the partition prunes prefixes
@@ -292,6 +297,50 @@ def test_partition_visit_order_matches_naive_scan(p, l, m):
     assert [
         (i, j, format_nottingham_product(elt)) for i, j, elt in rep.witnesses
     ] == witnesses
+
+
+@pytest.mark.parametrize(
+    "p, l, m",
+    [(2, 3, 6), (2, 5, 10), (3, 2, 6), (5, 1, 5),
+     (2, 5, 17), (3, 2, 8), (5, 1, 6)],
+)
+def test_shared_row_matches_per_child_row(p, l, m):
+    # fast path against slow oracle: the walk gives each child at depth d
+    # its a_d = 0 sibling's acted value at j = m - d plus j * a_d * weight;
+    # the oracle builds each child's own row.  The first four types have
+    # p | m, where the weight comes from chi(E_(m/p)).
+    prime = as_prime(p)
+    psq = prime.psq
+    coeffs = [f.to_character().coeffs for f in enumerate_reduced_forms(p, l, m)]
+    weight = _top_weights(p, psq, l, m, coeffs)
+    rng = random.Random(m * 100 + p)
+    for d in range(1, m):
+        j = m - d
+        if j % p == 0:
+            continue
+        for _ in range(4):
+            z = [1] + [rng.randrange(p) for _ in range(d - 1)]
+            base = _action_row(j, _pow_raw(z, j, p, d), p, psq, m).items()
+            for a in range(p):
+                row = _action_row(j, _pow_raw([*z, a], j, p, d), p, psq, m)
+                for c, w in zip(coeffs, weight):
+                    fast = (_pairing(base, c, psq) + j * a * w) % psq
+                    assert fast == _pairing(row.items(), c, psq)
+
+
+def test_partition_shares_rows_across_siblings(monkeypatch):
+    # one power of z per expanded node: a row per visited node would
+    # take 2,209 powers at <5,17> over F_2
+    calls = []
+    real = equivalence._pow_raw
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "_pow_raw", counted)
+    partition_reduced_forms(2, 5, 17)
+    assert len(calls) <= 1105
 
 
 @pytest.mark.parametrize(

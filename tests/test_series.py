@@ -15,6 +15,7 @@ from nottorsion.series import (
     ParseError,
     Prime,
     UnitSeries,
+    _subst_raw,
     format_nottingham_product,
     format_unit,
     nott_compose,
@@ -153,6 +154,36 @@ def test_subst_is_multiplicative():
         lhs = unit_subst(unit_mul(f, g), u)
         rhs = unit_mul(unit_subst(f, u), unit_subst(g, u))
         assert lhs == rhs
+
+
+def dense_subst(f, z, p, n):
+    """Oracle: sum of f[k] t^k z^k over every degree k <= n, with z^k built
+    by one naive convolution per degree whether f[k] vanishes or not."""
+    out = [0] * (n + 1)
+    zk = [1]
+    for k in range(n + 1):
+        fk = f[k] if k < len(f) else 0
+        for d, c in enumerate(zk[: n + 1 - k]):
+            out[k + d] += fk * c
+        zk = naive_mul(zk, z, p)[: n + 1]
+    return [v % p for v in out]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sparse_subst_matches_dense_oracle(p):
+    # _subst_raw skips the zero coefficients of f and jumps each gap with
+    # one power of z; f runs from dense through sparse to 1 alone, and is
+    # often shorter than n + 1
+    rng = random.Random(1000 + p)
+    for _ in range(60):
+        n = rng.randrange(1, 30)
+        z = [1] + [rng.randrange(p) for _ in range(rng.randrange(0, n + 2))]
+        density = rng.choice([1.0, 0.5, 0.1, 0.0])
+        f = [1] + [
+            rng.randrange(1, p) if rng.random() < density else 0
+            for _ in range(rng.randrange(0, n + 3))
+        ]
+        assert _subst_raw(f, z, p, n) == dense_subst(f, z, p, n)
 
 
 def test_subst_precision_requirement():
