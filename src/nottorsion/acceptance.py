@@ -53,7 +53,7 @@ from .series import (
     nott_inverse,
     parse_nottingham,
     unit_decompose,
-    unit_pow,
+    unit_mul,
     unit_recompose,
 )
 
@@ -417,7 +417,10 @@ def _case_frobenius(rng):
     p = rng.choice((2, 3, 5))
     n = rng.randrange(p, 16)
     j = rng.randrange(1, n // p + 1)
-    return unit_pow(UnitSeries.basis(p, j, n), p) == UnitSeries.basis(p, p * j, n)
+    # a p-fold product, not unit_pow, which computes p-th powers by this
+    # very identity
+    basis = UnitSeries.basis(p, j, n)
+    return functools.reduce(unit_mul, [basis] * p) == UnitSeries.basis(p, p * j, n)
 
 
 def _case_group_axioms(rng):

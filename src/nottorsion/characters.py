@@ -23,7 +23,6 @@ bare unit digit at l, and p-multiples with digits b_j on the window
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 
@@ -32,6 +31,7 @@ from .series import (
     ParseError,
     UnitSeries,
     _decompose_raw,
+    _frobenius,
     _mul_raw,
     as_prime,
 )
@@ -388,12 +388,23 @@ def _action_rows(z, p, psq, m):
     the value of the acted character at j is then the `_pairing` of exps
     with chi.  A consumer that stops early skips the powers of z and the
     decompositions it did not need.
+
+    With z = 1 mod t^r, t^j z^j = t^j mod t^(j+r), so every row with
+    j + r > m is E_j itself, {j: 1}, and needs neither z^j nor a strip.
+    Below that, z^j for p | j is the re-indexing z^(j/p)(t^p) over F_p,
+    and each other z^j takes one product.
     """
-    zp = [1]
+    r = next((k for k, c in enumerate(z[1:m], 1) if c), m)
+    powers = [[1]]  # powers[i] is z^i through degree m - i
     for j in range(1, (m if m % p else m - 1) + 1):
-        zp = _mul_raw(zp, z, p, m - j)
-        if j % p:
-            yield j, _action_row(j, zp, p, psq, m)
+        if j + r > m:
+            if j % p:
+                yield j, {j: 1}
+        elif j % p:
+            powers.append(_mul_raw(powers[-1], z, p, m - j))
+            yield j, _action_row(j, powers[-1], p, psq, m)
+        else:
+            powers.append(_frobenius(powers[j // p], p, m - j))
 
 
 def char_act(u: NottinghamElement, chi: Character) -> Character:
@@ -480,7 +491,7 @@ def enumerate_reduced_forms(p, l, m):
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON formats.
+# Text format.
 
 
 _PAIR_RE = re.compile(r"\s*(\d+)\s*:\s*(\d+)\s*$")
@@ -522,31 +533,3 @@ def parse_character_literal(text: str, p) -> Character:
         coeffs[j] = v
         pos += len(chunk) + 1
     return Character(prime, coeffs)
-
-
-def format_character(chi: Character) -> str:
-    """Headed text form "p=2; 5:1,15:2"."""
-    return str(chi)
-
-
-def parse_character(text: str) -> Character:
-    """Parse the headed text form "p=2; 5:1,15:2"."""
-    m = re.match(r"\s*p\s*=\s*(\d+)\s*;\s*", text)
-    if not m:
-        raise ParseError("expected a p=<prime>; header", 0)
-    prime = as_prime(int(m.group(1)))
-    rest = text[m.end():]
-    if rest.strip() == "":
-        return Character(prime, {})
-    return parse_character_literal(rest, prime)
-
-
-def character_to_json(chi: Character) -> str:
-    return json.dumps(
-        {"p": chi.prime.p, "coeffs": {str(j): chi.coeffs[j] for j in sorted(chi.coeffs)}}
-    )
-
-
-def character_from_json(text: str) -> Character:
-    data = json.loads(text)
-    return Character(as_prime(data["p"]), {int(j): v for j, v in data["coeffs"].items()})

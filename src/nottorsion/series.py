@@ -19,7 +19,10 @@ are unknown rather than zero.  Operations never mutate their inputs.
 from __future__ import annotations
 
 import functools
+import math
 import re
+import sys
+from array import array
 
 
 class ParseError(ValueError):
@@ -67,48 +70,98 @@ def as_prime(p):
 # c[d] the coefficient of t^d.  These run in the innermost search loops, so
 # they stay free of object overhead.
 
+# _mul_raw packs one coefficient per field of an unsigned array, in native
+# byte order; these are the typecodes by item size ("I" takes size 4 where
+# "L" is 4 too).
+_FIELD_CODES = {array(code).itemsize: code for code in "QLI"}
+_ORDER = sys.byteorder
+
+
+def _field_width(n, p):
+    """Bytes per field that hold every coefficient of a `_mul_raw` product.
+
+    With both operands cut to n+1 residues, each coefficient of their full
+    product is a sum of at most n+1 products of two residues, so it is at
+    most (n+1)(p-1)^2: 4-byte fields hold that below 2^32, 8-byte ones
+    below 2^64.  Past that no field is safe, and the product refuses.
+    """
+    top = (n + 1) * (p - 1) ** 2
+    if top < 1 << 32:
+        return 4
+    if top < 1 << 64:
+        return 8
+    raise ValueError("coefficients up to %d overflow an 8-byte field" % top)
+
 
 def _mul_raw(a, b, p, n):
-    out = [0] * (n + 1)
-    for i in range(min(len(a), n + 1)):
-        ai = a[i]
-        if ai:
-            lim = n + 1 - i
-            for j in range(min(len(b), lim)):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return [v % p for v in out]
-
-
-def _inv_raw(a, p, n):
-    # requires a[0] == 1; back substitution degree by degree
-    out = [0] * (n + 1)
-    out[0] = 1
-    for d in range(1, n + 1):
-        s = 0
-        for i in range(1, min(d, len(a) - 1) + 1):
-            ai = a[i]
-            if ai:
-                s += ai * out[d - i]
-        out[d] = (-s) % p
+    # Kronecker substitution: pack each operand into one int with one
+    # fixed-width field per coefficient, multiply once, and unpack the low
+    # n+1 fields.  Entries must be residues 0..p-1, so `_field_width`
+    # keeps every field of the product from carrying into its neighbour.
+    # Packing and unpacking both read bytes in native order, so on either
+    # endianness field k of the unpacked array is the coefficient of t^k.
+    a, b = a[: n + 1], b[: n + 1]
+    width = _field_width(n, p)
+    code = _FIELD_CODES[width]
+    prod = int.from_bytes(array(code, a).tobytes(), _ORDER) * int.from_bytes(
+        array(code, b).tobytes(), _ORDER
+    )
+    size = len(a) + len(b) - 1
+    low = prod.to_bytes(size * width, _ORDER)[: (n + 1) * width]
+    out = [v % p for v in array(code, low)]
+    if size <= n:
+        out += [0] * (n + 1 - size)
     return out
 
 
+def _frobenius(x, p, k):
+    """x(t^p), which is x^p over F_p, truncated at degree k; reads
+    x[0 .. k // p], which must all be there."""
+    out = [0] * (k + 1)
+    out[::p] = x[: k // p + 1]
+    return out
+
+
+def _pow_digit(a, d, p, k):
+    """a^d truncated at degree k, for a digit 1 <= d < p; length k+1."""
+    base = list(a[: k + 1])
+    base += [0] * (k + 1 - len(base))
+    out = None
+    while True:
+        if d & 1:
+            out = base if out is None else _mul_raw(out, base, p, k)
+        d >>= 1
+        if not d:
+            return out
+        base = _mul_raw(base, base, p, k)
+
+
 def _pow_raw(a, e, p, n):
-    if e < 0:
-        a = _inv_raw(a, p, n)
-        e = -e
-    result = [0] * (n + 1)
-    result[0] = 1
-    base = list(a[: n + 1]) + [0] * max(0, n + 1 - len(a))
-    while e:
-        if e & 1:
-            result = _mul_raw(result, base, p, n)
-        e >>= 1
-        if e:
-            base = _mul_raw(base, base, p, n)
-    return result
+    # a^e truncated at degree n, for a unit a (a[0] == 1) and any integer e.
+    # Over F_p, x^p = x(t^p), so a p-th power is a re-indexing.  With e in
+    # base p, Horner from the top digit makes each step out <- out(t^p) *
+    # a^d, both truncated at n // p^i at digit i: only the digit powers
+    # multiply, and the high digits do so at low precision.  The principal
+    # units mod t^(n+1) have exponent p^L, the least p-power above n, so e
+    # is taken mod p^L first; that also turns a negative e into a positive
+    # one.
+    q = 1
+    while q <= n:
+        q *= p
+    e %= q
+    out = None
+    while q > 1:
+        q //= p
+        k = n // q
+        if out is not None:
+            out = _frobenius(out, p, k)
+        d = e // q % p
+        if d:
+            x = _pow_digit(a, d, p, k)
+            out = x if out is None else _mul_raw(out, x, p, k)
+    if out is None:
+        return [1] + [0] * n
+    return out
 
 
 def _subst_raw(f, z, p, n):
@@ -134,35 +187,31 @@ def _subst_raw(f, z, p, n):
 
 @functools.lru_cache(maxsize=None)
 def _strip_tables(p, m):
-    """Sparse tables for (1+t^k)^(-c) mod p, truncated at degree m.
+    """Binomial rows of (1+t^k)^c mod p, truncated at degree m.
 
-    tables[(k, c)] is a tuple of (degree, coefficient) pairs with degree >= k
-    (the leading 1 is implicit).  Entries exist for 1 <= k <= m, 1 <= c < p.
+    tables[(k, c)] is a tuple of (degree, coefficient) pairs, the terms
+    C(c, i) t^(i*k) with 1 <= i <= c and i*k <= m (the leading 1 is
+    implicit).  Entries exist for 1 <= k <= m, 1 <= c < p; as c < p, no
+    C(c, i) vanishes mod p, so a row has at most c terms.
     """
-    tables = {}
-    for k in range(1, m + 1):
-        ek = [0] * (m + 1)
-        ek[0] = 1
-        ek[k] = 1
-        inv1 = _inv_raw(ek, p, m)
-        cur = [0] * (m + 1)
-        cur[0] = 1
-        for c in range(1, p):
-            cur = _mul_raw(cur, inv1, p, m)
-            tables[(k, c)] = tuple(
-                (d, cur[d]) for d in range(k, m + 1) if cur[d]
-            )
-    return tables
+    return {
+        (k, c): tuple(
+            (i * k, math.comb(c, i) % p) for i in range(1, min(c, m // k) + 1)
+        )
+        for k in range(1, m + 1)
+        for c in range(1, p)
+    }
 
 
 def _strip_run(f, p, n):
     """Greedy run of the unit f over the units 1+t^k, k = 1..n.
 
     Scans degrees 1..n; at each nonzero residual coefficient c at degree
-    k it yields (k, c), then multiplies the residual by (1+t^k)^(-c) in
-    place, so f = prod (1+t^k)^c mod t^(n+1) over the yielded pairs.  Only
-    f[0..n] is read and f is never mutated; f[0] must be 1.  A consumer
-    may stop early, which skips the strips it does not need.
+    k it yields (k, c), then divides the residual by the binomial
+    (1+t^k)^c in place, so f = prod (1+t^k)^c mod t^(n+1) over the
+    yielded pairs.  Only f[0..n] is read and f is never mutated; f[0]
+    must be 1.  A consumer may stop early, which skips the strips it does
+    not need.
     """
     tables = _strip_tables(p, n)
     r = list(f[: n + 1])
@@ -172,14 +221,17 @@ def _strip_run(f, p, n):
             continue
         yield k, cv
         tab = tables[(k, cv)]
-        # in-place multiply by (1+t^k)^(-cv): descending d only reads
-        # entries below d that are still the old values
-        for d in range(n, k - 1, -1):
+        # ascending division: the quotient at d is r[d] less the row times
+        # the quotient at d - i*k, which is already in place.  The residual
+        # is 1 below degree k and the quotient is 0 at k, so degrees k+1 ..
+        # 2k-1 keep their values and the division starts at 2k.
+        r[k] = 0
+        for d in range(2 * k, n + 1):
             acc = r[d]
             for dk, w in tab:
                 if dk > d:
                     break
-                acc += w * r[d - dk]
+                acc -= w * r[d - dk]
             r[d] = acc % p
 
 

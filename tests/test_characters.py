@@ -6,7 +6,6 @@ arithmetic), or frozen from computations done with the series layer
 directly.
 """
 
-import json
 import random
 
 import pytest
@@ -18,14 +17,10 @@ from nottorsion.characters import (
     break_sequence,
     char_act,
     char_eval,
-    character_from_json,
-    character_to_json,
     enumerate_characters,
     enumerate_reduced_forms,
-    format_character,
     format_character_literal,
     is_reduced,
-    parse_character,
     parse_character_literal,
     require_valid_type,
     scalar_mul,
@@ -480,21 +475,3 @@ def test_literal_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.offset is not None
-
-
-def test_headed_format_roundtrip():
-    chi = parse_character_literal("5:1,15:2", 2)
-    text = format_character(chi)
-    assert text == "p=2; 5:1,15:2"
-    assert parse_character(text) == chi
-    with pytest.raises(ParseError):
-        parse_character("5:1,15:2")  # missing prime header
-
-
-def test_json_roundtrip():
-    chi = parse_character_literal("2:1,5:3,7:3", 3)
-    blob = character_to_json(chi)
-    data = json.loads(blob)
-    assert data["p"] == 3
-    assert character_from_json(blob) == chi
-    assert character_from_json(character_to_json(Character(2, {}))) == Character(2, {})

@@ -1,16 +1,16 @@
 """Guard against imports that nothing uses.
 
-Parses every Python file under `src/`, `tests/` and `demos/` and fails
-on any name an import binds that the module never references.  A name
-listed in the module's `__all__` counts as referenced (a re-export), and
-`from __future__ import ...` is exempt.
+Parses every Python file under `src/`, `tests/`, `demos/` and `bench/`
+and fails on any name an import binds that the module never references.
+A name listed in the module's `__all__` counts as referenced (a
+re-export), and `from __future__ import ...` is exempt.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCANNED = ("src", "tests", "demos")
+SCANNED = ("src", "tests", "demos", "bench")
 
 
 def _exported(tree):

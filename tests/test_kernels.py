@@ -1,0 +1,259 @@
+"""Differential tests of the raw series kernels against slow oracles.
+
+The oracles are the straightforward algorithms the kernels replaced:
+the schoolbook product, square-and-multiply powers with inversion by
+back substitution, and the greedy strip that multiplies the residual by
+the dense inverse (1+t^k)^(-c), descending.  Every case is drawn from a
+fixed seed, so a failure repeats exactly.
+"""
+
+import functools
+import math
+import random
+from array import array
+
+import pytest
+
+from nottorsion import series
+from nottorsion.characters import _action_rows
+from nottorsion.series import (
+    _FIELD_CODES,
+    _decompose_raw,
+    _field_width,
+    _mul_raw,
+    _pow_raw,
+    _strip_run,
+    _strip_tables,
+)
+
+PRIMES = (2, 3, 5, 7, 11, 31)
+
+
+# ---------------------------------------------------------------------------
+# Oracles.
+
+
+def school_mul(a, b, p, n):
+    """Schoolbook product truncated at degree n, skipping zero terms."""
+    out = [0] * (n + 1)
+    for i in range(min(len(a), n + 1)):
+        ai = a[i]
+        if ai:
+            for j in range(min(len(b), n + 1 - i)):
+                if b[j]:
+                    out[i + j] += ai * b[j]
+    return [v % p for v in out]
+
+
+def back_sub_inverse(a, p, n):
+    """1/a truncated at degree n, degree by degree; a[0] must be 1."""
+    out = [0] * (n + 1)
+    out[0] = 1
+    for d in range(1, n + 1):
+        s = sum(a[i] * out[d - i] for i in range(1, min(d, len(a) - 1) + 1))
+        out[d] = (-s) % p
+    return out
+
+
+def square_multiply_pow(a, e, p, n):
+    """a^e truncated at degree n by binary powering; e < 0 inverts first."""
+    if e < 0:
+        a, e = back_sub_inverse(a, p, n), -e
+    result = [1] + [0] * n
+    base = list(a[: n + 1]) + [0] * max(0, n + 1 - len(a))
+    while e:
+        if e & 1:
+            result = school_mul(result, base, p, n)
+        e >>= 1
+        if e:
+            base = school_mul(base, base, p, n)
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def inverse_row(p, n, k, c):
+    """(1+t^k)^(-c) truncated at degree n, as (degree, coefficient)
+    pairs at degrees >= k."""
+    ek = [0] * (n + 1)
+    ek[0] = ek[k] = 1
+    inv = square_multiply_pow(back_sub_inverse(ek, p, n), c, p, n)
+    return tuple((d, inv[d]) for d in range(k, n + 1) if inv[d])
+
+
+def inverse_strip_run(f, p, n):
+    """The greedy (k, c) run of f, multiplying the residual by the dense
+    inverse (1+t^k)^(-c) in place, descending."""
+    r = list(f[: n + 1])
+    run = []
+    for k in range(1, n + 1):
+        cv = r[k]
+        if not cv:
+            continue
+        run.append((k, cv))
+        tab = inverse_row(p, n, k, cv)
+        for d in range(n, k - 1, -1):
+            acc = r[d]
+            for dk, w in tab:
+                if dk > d:
+                    break
+                acc += w * r[d - dk]
+            r[d] = acc % p
+    return run
+
+
+def oracle_decompose(f, p, m):
+    """Exponents on E_j from the oracle run: c at k = j*p^s adds c*p^s."""
+    psq = p * p
+    e = {}
+    for k, cv in inverse_strip_run(f, p, m):
+        s = 0
+        while k % p == 0:
+            k //= p
+            s += 1
+        if s < 2:
+            e[k] = (e.get(k, 0) + cv * p**s) % psq
+    return {j: v for j, v in e.items() if v}
+
+
+def oracle_rows(z, p, m):
+    """Every coprime row of E_j o u, each from a fully computed z^j."""
+    top = m if m % p else m - 1
+    rows = []
+    for j in range(1, top + 1):
+        if j % p:
+            zj = square_multiply_pow(z, j, p, m - j)
+            rows.append((j, oracle_decompose([1] + [0] * (j - 1) + zj, p, m)))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Random inputs.
+
+
+def random_series(rng, p, length, unit):
+    """Residues of a given length; dense, sparse or one term, and with a
+    leading 1 when unit is set."""
+    density = rng.choice([1.0, 0.3, 0.05])
+    out = [
+        rng.randrange(1, p) if rng.random() < density else 0 for _ in range(length)
+    ]
+    if unit and out:
+        out[0] = 1
+    return out
+
+
+def random_length(rng, n):
+    # shorter than, equal to and longer than n+1
+    return rng.choice(
+        [rng.randrange(1, n + 2), n + 1, n + 1 + rng.randrange(1, 8)]
+    )
+
+
+def random_precision(rng):
+    return rng.choice(
+        [rng.randrange(0, 12), rng.randrange(0, 30), rng.randrange(0, 61)]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Tests.
+
+
+def test_field_width_rule_at_the_boundary():
+    # (n+1)(p-1)^2 at 2^32 - 1 still fits 4 bytes, 2^32 needs 8; at
+    # 2^64 no field holds it.  Nothing of that size is built.
+    assert _field_width(2**32 - 2, 2) == 4
+    assert _field_width(2**32 - 1, 2) == 8
+    assert _field_width(2**30 - 2, 3) == 4  # 4 * (2^30 - 1) = 2^32 - 4
+    assert _field_width(2**30 - 1, 3) == 8  # 4 * 2^30 = 2^32
+    assert _field_width(2**64 - 2, 2) == 8
+    with pytest.raises(ValueError):
+        _field_width(2**64 - 1, 2)
+    assert _field_width(60, 31) == 4
+    for width in (4, 8):
+        code = _FIELD_CODES[width]
+        assert array(code).itemsize == width
+        assert code.isupper()  # unsigned
+
+
+def test_mul_matches_schoolbook():
+    rng = random.Random(11)
+    for _ in range(1500):
+        p = rng.choice(PRIMES)
+        n = random_precision(rng)
+        a = random_series(rng, p, random_length(rng, n), unit=False)
+        b = random_series(rng, p, random_length(rng, n), unit=False)
+        assert _mul_raw(a, b, p, n) == school_mul(a, b, p, n), (p, n, a, b)
+    assert _mul_raw([], [1, 2], 3, 2) == [0, 0, 0]
+
+
+def test_mul_with_eight_byte_fields(monkeypatch):
+    # the 8-byte packing is reached only at (n+1)(p-1)^2 >= 2^32; force it
+    monkeypatch.setattr(series, "_field_width", lambda n, p: 8)
+    rng = random.Random(12)
+    for _ in range(200):
+        p = rng.choice(PRIMES)
+        n = random_precision(rng)
+        a = random_series(rng, p, random_length(rng, n), unit=False)
+        b = random_series(rng, p, random_length(rng, n), unit=False)
+        assert _mul_raw(a, b, p, n) == school_mul(a, b, p, n)
+
+
+def test_pow_matches_square_and_multiply():
+    rng = random.Random(13)
+    for _ in range(800):
+        p = rng.choice(PRIMES)
+        n = random_precision(rng)
+        a = random_series(rng, p, random_length(rng, n), unit=True)
+        e = rng.choice(
+            [rng.randrange(-60, 200), rng.randrange(-3, 4), p * rng.randrange(1, 8)]
+        )
+        assert _pow_raw(a, e, p, n) == square_multiply_pow(a, e, p, n), (p, n, a, e)
+
+
+def test_strip_tables_are_binomial_rows():
+    for p in PRIMES:
+        tables = _strip_tables(p, 20)
+        for k in (1, 3, 7, 20):
+            for c in range(1, p):
+                expect = [
+                    (i * k, math.comb(c, i) % p) for i in range(1, c + 1) if i * k <= 20
+                ]
+                assert list(tables[(k, c)]) == expect
+
+
+def test_strip_and_decompose_match_inverse_strip():
+    rng = random.Random(14)
+    for _ in range(600):
+        p = rng.choice(PRIMES)
+        n = random_precision(rng)
+        f = random_series(rng, p, random_length(rng, n), unit=True)
+        f += [0] * (n + 1 - len(f))
+        assert list(_strip_run(f, p, n)) == inverse_strip_run(f, p, n), (p, n, f)
+        if n:
+            assert _decompose_raw(f, p, p * p, n) == oracle_decompose(f, p, n)
+
+
+def test_strip_run_stops_early_without_mutating():
+    f = [1, 1, 2, 0, 1, 2, 2]
+    run = _strip_run(f, 3, 6)
+    assert next(run) == (1, 1)
+    assert f == [1, 1, 2, 0, 1, 2, 2]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_action_rows_match_full_rows(p):
+    # z = 1 mod t^r exactly, for every valuation r = 1..m-1 and the
+    # identity: the rows with j + r > m come back as {j: 1} without a
+    # power or a strip, and must agree with fully computed rows
+    rng = random.Random(15 + p)
+    psq = p * p
+    for m in rng.sample(range(2, 31), 6):
+        for r in range(1, m + 1):
+            z = [1] + [0] * (r - 1)
+            if r < m:
+                z += [rng.randrange(1, p)]
+                z += [rng.randrange(p) for _ in range(m - 1 - r)]
+            else:
+                z += [0] * (m - r)
+            assert list(_action_rows(z, p, psq, m)) == oracle_rows(z, p, m), (m, r, z)
