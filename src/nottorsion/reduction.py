@@ -25,6 +25,18 @@ mod p, with p b_m = chi(E_m) the invariant top digit.  Each step clears
 position q, only disturbs positions below q, and contributes exactly 0
 to the kernel value, so the accumulated witness always satisfies
 chi(u(t)/t) = 0 mod p.
+
+Both stages are lazy.  The character reached after steps with composite
+acc takes the value chi(E_v o acc) at v (the action is contravariant),
+so a step computes only the values its digit choices read.  Stage one
+tracks the unit layer, the values mod p at the coprime k <= l: such a
+value reads only strip digits at degrees <= l, so each step moves the
+layer by the step's own action rows to depth l, paired mod p, and the
+kernel part of f is the layer paired with the step's decomposition to
+depth l.  Stage two reads two values per step, at q and at l + j, each
+from one power of acc and one action row.  Steps and acc are raw unit
+lists; each stage ends with a single `char_act` of its acc, none when
+no step ran, and its postcondition checks that character.
 """
 
 from __future__ import annotations
@@ -32,6 +44,9 @@ from __future__ import annotations
 from .characters import (
     Character,
     ReducedForm,
+    _action_row,
+    _action_rows,
+    _pairing,
     break_sequence,
     char_act,
     char_eval,
@@ -40,10 +55,12 @@ from .characters import (
 from .series import (
     NottinghamElement,
     UnitSeries,
+    _compose_raw,
+    _decompose_raw,
+    _mul_raw,
+    _pow_raw,
     format_nottingham_product,
     nott_compose,
-    unit_mul,
-    unit_pow,
 )
 
 
@@ -112,6 +129,41 @@ class WitnessCheck:
         return "WitnessCheck(ok=%r, reason=%r)" % (self.ok, self.reason)
 
 
+def _basis_power(k, e, p, n):
+    """Raw (1 + t^k)^e through degree n."""
+    raw = [1] + [0] * n
+    raw[k] = 1
+    return _pow_raw(raw, e, p, n)
+
+
+def _acted_value(chi, z, v, m):
+    """chi(E_v o u) for u = t*z, the value at v of chi acted on by u.
+
+    z is the raw unit part of u through degree m, or None for the
+    identity; m is chi's bound.
+    """
+    prime = chi.prime
+    p, psq = prime.p, prime.psq
+    zv = [1] + [0] * (m - v) if z is None else _pow_raw(z, v, p, m - v)
+    return _pairing(_action_row(v, zv, p, psq, m).items(), chi.coeffs, psq)
+
+
+def _act_once(chi, acc, m):
+    """chi acted on by the accumulated raw unit acc, and its witness.
+
+    acc None means that no step ran: chi comes back unchanged, certified
+    by the identity at precision m.
+    """
+    prime = chi.prime
+    if acc is None:
+        element = NottinghamElement.identity(prime, m)
+        cur = chi
+    else:
+        element = NottinghamElement(prime, UnitSeries._from_raw(prime, acc))
+        cur = char_act(element, chi)
+    return cur, Witness(element, char_eval(chi, element.unit))
+
+
 def reduce_mod_p(chi: Character):
     """Stage one: clear every unit digit below l.
 
@@ -119,32 +171,28 @@ def reduce_mod_p(chi: Character):
     and above l mod p and has zero unit digits below l.
     """
     prime = chi.prime
-    p = prime.p
-    ct = break_sequence(chi)
-    l, m = ct
-    x_l = chi.value(l) % p
-    cur = chi
-    acc = NottinghamElement.identity(prime, m)
+    p, psq = prime.p, prime.psq
+    l, m = break_sequence(chi)
+    # the unit layer: the current values mod p at the coprime k <= l
+    x = {k: chi.value(k) % p for k in range(1, l + 1) if k % p}
+    x_l = x[l]
+    acc = None
     for i in range(l - 1, 0, -1):
-        if i % p == 0:
+        if i % p == 0 or not x[i]:
             continue
-        x_i = cur.value(i) % p
-        if x_i == 0:
-            continue
-        c = (-x_i * pow(i * x_l % p, -1, p)) % p
-        step_unit = UnitSeries(
-            prime, tuple(c if d == l - i else 0 for d in range(1, m + 1))
-        )
-        kernel_part = char_eval(cur, step_unit) % p
+        c = (-x[i] * pow(i * x_l % p, -1, p)) % p
+        step = [1] + [0] * m
+        step[l - i] = c
+        kernel_part = _pairing(_decompose_raw(step, p, psq, l).items(), x, p)
         f = (-kernel_part * pow(x_l, -1, p)) % p
-        s_unit = unit_mul(step_unit, unit_pow(UnitSeries.basis(prime, l, m), f))
-        s = NottinghamElement(prime, s_unit)
-        cur = char_act(s, cur)
-        acc = nott_compose(s, acc)
+        s = _mul_raw(step, _basis_power(l, f, p, m), p, m)
+        x = {k: _pairing(row.items(), x, p) for k, row in _action_rows(s, p, psq, l)}
+        acc = s if acc is None else _compose_raw(s, acc, p, m)
+    cur, witness = _act_once(chi, acc, m)
     for i in range(1, l):
         if i % p and cur.value(i) % p:
             raise RuntimeError("stage one left a unit digit at %d" % i)
-    return cur, Witness(acc, char_eval(chi, acc.unit))
+    return cur, witness
 
 
 def clear_low_p_part(chi: Character):
@@ -155,8 +203,7 @@ def clear_low_p_part(chi: Character):
     """
     prime = chi.prime
     p = prime.p
-    ct = break_sequence(chi)
-    l, m = ct
+    l, m = break_sequence(chi)
     for i in range(1, l):
         if i % p and chi.value(i) % p:
             raise ValueError("expects stage-one form: unit digit at %d" % i)
@@ -167,32 +214,26 @@ def clear_low_p_part(chi: Character):
     b_m = (top // p) % p
     if b_m == 0:
         raise RuntimeError("top digit vanished; type bookkeeping is broken")
-    cur = chi
-    acc = NottinghamElement.identity(prime, m)
+    acc = None
     for j in range(1, m - l):
         q = m - l - j
         if q % p == 0:
             continue
-        cq = cur.value(q)
+        cq = _acted_value(chi, acc, q, m)
         a_q = ((cq - x_l) // p) % p if q == l else (cq // p) % p
         if q != l and cq % p:
             raise RuntimeError("unit digit appeared at %d during stage two" % q)
         if a_q == 0:
             continue
         d = (-a_q * pow(q * b_m % p, -1, p)) % p
-        beta_val = char_eval(cur, UnitSeries.basis(prime, l + j, m))
-        beta = (beta_val // p) % p
+        beta = (_acted_value(chi, acc, l + j, m) // p) % p
         e = (-d * beta * pow(b_m, -1, p)) % p
-        u_unit = unit_mul(
-            unit_pow(UnitSeries.basis(prime, l + j, m), d),
-            unit_pow(UnitSeries.basis(prime, m, m), e),
-        )
-        u_j = NottinghamElement(prime, u_unit)
-        cur = char_act(u_j, cur)
-        acc = nott_compose(u_j, acc)
+        u_j = _mul_raw(_basis_power(l + j, d, p, m), _basis_power(m, e, p, m), p, m)
+        acc = u_j if acc is None else _compose_raw(u_j, acc, p, m)
+    cur, witness = _act_once(chi, acc, m)
     if not is_reduced(cur):
         raise RuntimeError("stage two did not reach a reduced character")
-    return cur, Witness(acc, char_eval(chi, acc.unit))
+    return cur, witness
 
 
 def reduce(chi: Character):

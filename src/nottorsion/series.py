@@ -255,6 +255,12 @@ def _decompose_raw(f, p, psq, m):
     return {j: v for j, v in e.items() if v}
 
 
+def _compose_raw(zu, zv, p, n):
+    """Raw unit part of u(v(t)) through degree n, from the raw unit parts
+    zu of u and zv of v: u(v(t)) = v(t) * z_u(v(t)) = t * zv * (zu o v)."""
+    return _mul_raw(zv, _subst_raw(zu, zv, p, n), p, n)
+
+
 # ---------------------------------------------------------------------------
 # Public value types.
 
@@ -296,7 +302,15 @@ class UnitSeries:
 
     @classmethod
     def _from_raw(cls, prime, raw):
-        return cls(prime, raw[1:])
+        """Wrap a raw kernel output, whose entries are already residues
+        mod p, without reducing them again."""
+        coeffs = tuple(raw[1:])
+        if not coeffs:
+            raise ValueError("unit series needs precision >= 1")
+        unit = object.__new__(cls)
+        object.__setattr__(unit, "prime", prime)
+        object.__setattr__(unit, "coeffs", coeffs)
+        return unit
 
     def _raw(self):
         return [1, *self.coeffs]
@@ -496,10 +510,7 @@ def nott_compose(u: NottinghamElement, v: NottinghamElement) -> NottinghamElemen
         raise ValueError(
             "mismatched precisions: %d vs %d" % (u.precision, v.precision)
         )
-    p, n = u.prime.p, u.precision
-    # u(v(t)) = v(t) * z_u(v(t)) = t * z_v * (z_u o v)
-    zu_of_v = _subst_raw(u.unit._raw(), v.unit._raw(), p, n)
-    raw = _mul_raw(v.unit._raw(), zu_of_v, p, n)
+    raw = _compose_raw(u.unit._raw(), v.unit._raw(), u.prime.p, u.precision)
     return NottinghamElement(u.prime, UnitSeries._from_raw(u.prime, raw))
 
 

@@ -2,15 +2,20 @@
 
 The small worked cases were frozen after solving the digit congruences
 by hand and replaying them through the series layer; every frozen
-witness is re-verified here rather than trusted.
+witness is re-verified here rather than trusted.  The library's stages
+read only the values each step needs and act on the character once; the
+eager stages below act on the whole character at every step and serve as
+their differential oracle.
 """
 
 import random
 
 import pytest
 
+from nottorsion import reduction
 from nottorsion.characters import (
     Character,
+    ReducedForm,
     break_sequence,
     char_act,
     char_eval,
@@ -18,6 +23,7 @@ from nottorsion.characters import (
     format_character_literal,
     is_reduced,
     parse_character_literal,
+    validate_type,
 )
 from nottorsion.reduction import (
     Witness,
@@ -29,7 +35,11 @@ from nottorsion.reduction import (
 )
 from nottorsion.series import (
     NottinghamElement,
+    UnitSeries,
+    nott_compose,
     parse_nottingham,
+    unit_mul,
+    unit_pow,
 )
 
 
@@ -266,8 +276,6 @@ def test_act_then_reduce_composite_flow():
     psi = form.to_character()
     assert psi == parse_character_literal("5:1,11:2,15:2", 2)
     # compose the two certificates into one strict equivalence chi -> psi
-    from nottorsion.series import nott_compose
-
     total = nott_compose(w2.element, u0)
     chk = verify_witness(chi, psi, total)
     assert chk.ok
@@ -277,3 +285,179 @@ def test_witness_check_reason_vocabulary():
     assert WitnessCheck.REASONS == ("ok", "action-mismatch", "kernel-violation", "incompatible")
     with pytest.raises(ValueError):
         WitnessCheck(True, "because")
+
+
+# ---------------------------------------------------------------------------
+# Eager oracles: each step acts on the whole character.
+
+
+def eager_reduce_mod_p(chi, steps=None):
+    """Stage one, step by step; appends each cleared index to steps."""
+    prime = chi.prime
+    p = prime.p
+    l, m = break_sequence(chi)
+    x_l = chi.value(l) % p
+    cur = chi
+    acc = NottinghamElement.identity(prime, m)
+    for i in range(l - 1, 0, -1):
+        if i % p == 0:
+            continue
+        x_i = cur.value(i) % p
+        if x_i == 0:
+            continue
+        c = (-x_i * pow(i * x_l % p, -1, p)) % p
+        step_unit = UnitSeries(
+            prime, tuple(c if d == l - i else 0 for d in range(1, m + 1))
+        )
+        kernel_part = char_eval(cur, step_unit) % p
+        f = (-kernel_part * pow(x_l, -1, p)) % p
+        s_unit = unit_mul(step_unit, unit_pow(UnitSeries.basis(prime, l, m), f))
+        s = NottinghamElement(prime, s_unit)
+        cur = char_act(s, cur)
+        acc = nott_compose(s, acc)
+        if steps is not None:
+            steps.append(i)
+    return cur, Witness(acc, char_eval(chi, acc.unit))
+
+
+def eager_clear_low_p_part(chi, steps=None):
+    """Stage two, step by step; appends each step's (q, l + j) to steps."""
+    prime = chi.prime
+    p = prime.p
+    l, m = break_sequence(chi)
+    x_l = chi.value(l) % p
+    b_m = (char_eval(chi, UnitSeries.basis(prime, m, m)) // p) % p
+    cur = chi
+    acc = NottinghamElement.identity(prime, m)
+    for j in range(1, m - l):
+        q = m - l - j
+        if q % p == 0:
+            continue
+        cq = cur.value(q)
+        a_q = ((cq - x_l) // p) % p if q == l else (cq // p) % p
+        assert q == l or cq % p == 0
+        if a_q == 0:
+            continue
+        d = (-a_q * pow(q * b_m % p, -1, p)) % p
+        beta_val = char_eval(cur, UnitSeries.basis(prime, l + j, m))
+        beta = (beta_val // p) % p
+        e = (-d * beta * pow(b_m, -1, p)) % p
+        u_unit = unit_mul(
+            unit_pow(UnitSeries.basis(prime, l + j, m), d),
+            unit_pow(UnitSeries.basis(prime, m, m), e),
+        )
+        u_j = NottinghamElement(prime, u_unit)
+        cur = char_act(u_j, cur)
+        acc = nott_compose(u_j, acc)
+        if steps is not None:
+            steps.append((q, l + j))
+    return cur, Witness(acc, char_eval(chi, acc.unit))
+
+
+def _stage_text(out, w):
+    return format_character_literal(out), w.to_text(), w.kernel_value
+
+
+def _differential_types():
+    """Valid types with p in {2,3,5,7}, l <= 9 and m <= p*l + 12; the cap
+    m <= 45 (221 of the 273 types) keeps this test near 3 s."""
+    return [
+        (p, l, m)
+        for p in (2, 3, 5, 7)
+        for l in range(1, 10)
+        for m in range(p * l, min(p * l + 12, 45) + 1)
+        if validate_type(p, l, m)
+    ]
+
+
+def _typed_character(rng, p, l, m):
+    """A seeded character of exact type <l, m>, drawn digit by digit."""
+    psq = p * p
+    coeffs = {}
+    for j in range(1, m + 1):
+        if j % p == 0:
+            continue
+        if j < l:
+            coeffs[j] = rng.randrange(psq)
+        elif j == l:
+            coeffs[j] = rng.choice([v for v in range(psq) if v % p])
+        elif j < m:
+            coeffs[j] = p * rng.randrange(p)
+        else:
+            coeffs[j] = p * rng.randrange(1, p)
+    return Character(p, coeffs)
+
+
+def test_lazy_stages_match_eager_oracle():
+    # one seeded character of each differential type: both stages and
+    # reduce give the eager stages' characters, witness text and kernel
+    # values
+    rng = random.Random(1201)
+    seen = set()
+    for p, l, m in _differential_types():
+        chi = _typed_character(rng, p, l, m)
+        steps1, steps2 = [], []
+        s1, w1 = eager_reduce_mod_p(chi, steps1)
+        s2, w2 = eager_clear_low_p_part(s1, steps2)
+        case = (p, l, m, format_character_literal(chi))
+        assert _stage_text(*reduce_mod_p(chi)) == _stage_text(s1, w1), case
+        assert _stage_text(*clear_low_p_part(s1)) == _stage_text(s2, w2), case
+        form, w = reduce(chi)
+        total = nott_compose(w2.element, w1.element)
+        assert form == ReducedForm.from_character(s2), case
+        expected = Witness(total, char_eval(chi, total.unit))
+        assert (w.to_text(), w.kernel_value) == (
+            expected.to_text(),
+            expected.kernel_value,
+        ), case
+        if m == p * l:
+            seen.add("m = pl")
+        if p == 2 and m == 2 * l:
+            seen.add("m = 2l over F_2")
+        if steps1:
+            seen.add("stage-one step")
+        if any(q == l for q, _ in steps2):
+            seen.add("step at q = l")
+        if any(v % p == 0 for _, v in steps2):
+            seen.add("read at l + j divisible by p")
+    assert seen == {
+        "m = pl",
+        "m = 2l over F_2",
+        "stage-one step",
+        "step at q = l",
+        "read at l + j divisible by p",
+    }
+
+
+def test_each_stage_acts_at_most_once(monkeypatch):
+    calls = []
+
+    def counting_char_act(u, chi):
+        calls.append(chi)
+        return char_act(u, chi)
+
+    monkeypatch.setattr(reduction, "char_act", counting_char_act)
+
+    # a reduced character: neither stage takes a step, so neither acts
+    chi = parse_character_literal("5:1,15:2", 2)
+    assert reduce_mod_p(chi)[0] == chi and calls == []
+    assert clear_low_p_part(chi)[0] == chi and calls == []
+
+    rng = random.Random(1202)
+    many1 = many2 = False
+    for p, l, m in [(3, 4, 13), (2, 9, 23), (5, 3, 16), (3, 8, 30)]:
+        for _ in range(3):
+            chi = _typed_character(rng, p, l, m)
+            steps1, steps2 = [], []
+            s1, _ = eager_reduce_mod_p(chi, steps1)
+            eager_clear_low_p_part(s1, steps2)
+            del calls[:]
+            reduce_mod_p(chi)
+            assert len(calls) == min(len(steps1), 1)
+            del calls[:]
+            clear_low_p_part(s1)
+            assert len(calls) == min(len(steps2), 1)
+            many1 |= len(steps1) > 1
+            many2 |= len(steps2) > 1
+    # per-step actions would have shown up as several calls
+    assert many1 and many2

@@ -15,6 +15,8 @@ from nottorsion.series import (
     ParseError,
     Prime,
     UnitSeries,
+    _mul_raw,
+    _pow_raw,
     _subst_raw,
     format_nottingham_product,
     format_unit,
@@ -214,6 +216,27 @@ def test_compose_inverse():
         e = NottinghamElement.identity(p, n)
         assert nott_compose(u, w) == e
         assert nott_compose(w, u) == e
+
+
+def test_from_raw_wraps_kernel_outputs_unchanged():
+    # _from_raw trusts the kernels to return residues; the checked
+    # constructor, which reduces every coefficient again, must agree
+    rng = random.Random(110)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 31])
+        prime = Prime(p)
+        n = rng.randrange(1, 24)
+        a, b = raw(random_unit(rng, p, n)), raw(random_unit(rng, p, n))
+        outputs = [
+            _mul_raw(a, b, p, n),
+            _pow_raw(a, rng.randrange(-p * p, p * p), p, n),
+            _subst_raw(a, b, p, n),
+            nott_inverse(NottinghamElement(prime, UnitSeries(p, a[1:]))).unit._raw(),
+        ]
+        for out in outputs:
+            assert UnitSeries._from_raw(prime, out) == UnitSeries(prime, out[1:])
+    with pytest.raises(ValueError):
+        UnitSeries._from_raw(Prime(3), [1])
 
 
 def test_truncation_stability():
