@@ -100,9 +100,6 @@ class Character:
     def __hash__(self):
         return hash((self.prime.p, self._key))
 
-    def __rmul__(self, n):
-        return scalar_mul(n, self)
-
     def __str__(self):
         return "p=%d; %s" % (self.prime.p, format_character_literal(self))
 
@@ -159,9 +156,7 @@ def break_sequence(chi: Character) -> CharType:
     units = [j for j, v in chi.coeffs.items() if v % p]
     if not units:
         raise ValueError("character is not surjective, no break type")
-    l = max(units)
-    m = max(max(chi.support), p * l)
-    return CharType(l, m)
+    return CharType(max(units), chi.bound)
 
 
 class StandardExpansion:
@@ -359,6 +354,19 @@ def char_eval(chi: Character, f: UnitSeries) -> int:
     prime = chi.prime
     exps = _decompose_raw(f._raw(), prime.p, prime.psq, bound)
     return _pairing(exps.items(), chi.coeffs, prime.psq)
+
+
+def _basis_value(coeffs, v, p, psq):
+    """chi(E_v) for any v >= 1, with coeffs mapping each coprime k to chi(E_k).
+
+    Over F_p, E_(pw) = E_w^p, so chi(E_v) is c_v when p does not divide v,
+    p * c_(v/p) when p exactly divides v, and 0 when p^2 divides v.
+    """
+    if v % p:
+        return coeffs.get(v, 0)
+    if v % psq:
+        return p * coeffs.get(v // p, 0) % psq
+    return 0
 
 
 def _pairing(pairs, coeffs, psq):

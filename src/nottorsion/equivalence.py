@@ -36,6 +36,7 @@ from .characters import (
     Character,
     _action_row,
     _action_rows,
+    _basis_value,
     _pairing,
     break_sequence,
     char_eval,
@@ -159,24 +160,13 @@ class _ActionScanner:
         return tuple([_pairing(row, coeffs, psq) for row in rows])
 
 
-def _candidates(p, m, head=0, rejected=None):
-    """Raw units [1, a_1, ..., a_(m-1), 0] in lexicographic order.
-
-    Each length-head prefix (a_1 .. a_head) is tested once: when
-    rejected([1, *prefix]) is true, every extension of that prefix is
-    skipped.  With no test, every candidate is yielded.
-    """
-    for prefix in itertools.product(range(p), repeat=head):
-        if rejected is not None and rejected([1, *prefix]):
-            continue
-        for suffix in itertools.product(range(p), repeat=m - 1 - head):
-            yield [1, *prefix, *suffix, 0]
-
-
 def _flat_scan(chi, psi, budget, strict):
     """Raw unit of the lexicographically smallest candidate mapping chi
-    to psi, or None; strict adds the kernel condition, tested once per
-    length-l prefix.
+    to psi, or None.
+
+    The candidates [1, a_1, ..., a_(m-1), 0] run in lexicographic order.
+    strict adds the kernel condition, tested once per head a_1 .. a_l: a
+    head that fails it skips all of its extensions.
     """
     if chi.prime != psi.prime:
         raise ValueError("mismatched primes")
@@ -187,16 +177,17 @@ def _flat_scan(chi, psi, budget, strict):
         return None
     p = chi.prime.p
     require_budget(p, m, budget)
-    if strict:
-        xdig = [chi.value(k) % p if k % p else 0 for k in range(l + 1)]
-        walk = _candidates(p, m, l, lambda z: _kernel_value_modp(z, p, l, xdig))
-    else:
-        walk = _candidates(p, m)
+    head = l if strict else 0
+    xdig = [chi.value(k) % p if k % p else 0 for k in range(l + 1)]
     scanner = _ActionScanner(chi.prime, m)
     src, tgt = chi.coeffs, psi.coeffs
-    for z in walk:
-        if scanner.matches(z, src, tgt):
-            return z
+    for prefix in itertools.product(range(p), repeat=head):
+        if strict and _kernel_value_modp([1, *prefix], p, l, xdig):
+            continue
+        for suffix in itertools.product(range(p), repeat=m - 1 - head):
+            z = [1, *prefix, *suffix, 0]
+            if scanner.matches(z, src, tgt):
+                return z
     return None
 
 
@@ -319,15 +310,6 @@ def _union(parent, i, j):
     return True
 
 
-def _top_weights(p, psq, l, m, coeffs):
-    """What one unit of the strip digit at degree m adds to each acted
-    value: chi(E_m), or p*chi(E_(m/p)) when p | m, which a valid type
-    allows only at m = p*l.  coeffs holds each character's values."""
-    if m % p:
-        return [c.get(m, 0) for c in coeffs]
-    return [p * c.get(l, 0) % psq for c in coeffs]
-
-
 def _join_reduced_forms(prime, l, m, strict):
     """Join the reduced forms of <l, m> into classes by union-find;
     strict turns the kernel test on.
@@ -347,13 +329,12 @@ def _join_reduced_forms(prime, l, m, strict):
     a_d moves the coefficient of E_j o u = 1 + t^j z^j only at degree m.
     That is the last strip of the greedy run, and no strip below m reads
     it, so the strip digit at m moves by j*a_d mod p and nothing else
-    does.  A reduced form's weight on that digit (`_top_weights`) is a
-    multiple of p: chi(E_m) with p | chi(E_m) when p does not divide m,
-    and p*chi(E_(m/p)) otherwise.  So the wrap of the digit mod p is
-    invisible mod p^2, and the child's acted value is its a_d = 0
-    sibling's plus j*a_d*weight.  Each expanded node computes that
-    sibling's row once, with one power of z, and its children only add
-    the shift.
+    does.  A reduced form's weight on that digit is chi(E_m), a multiple
+    of p: c_m itself when p does not divide m, and p*c_(m/p) otherwise
+    (`_basis_value`).  So the wrap of the digit mod p is invisible mod
+    p^2, and the child's acted value is its a_d = 0 sibling's plus
+    j*a_d*weight.  Each expanded node computes that sibling's row once,
+    with one power of z, and its children only add the shift.
 
     A subtree is pruned when its prefix fails the kernel test, when no
     (source, target) pair is left, or when every pair left is already
@@ -369,7 +350,7 @@ def _join_reduced_forms(prime, l, m, strict):
     n = len(forms)
     parent = list(range(n))
     witnesses = []
-    weight = _top_weights(p, psq, l, m, coeffs)
+    weight = [_basis_value(c, m, p, psq) for c in coeffs]
 
     # depth-first over prefixes z = [1, a_1, ..., a_d]; live[i] lists the
     # targets still matching source i, and base[i] is source i's acted

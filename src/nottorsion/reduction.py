@@ -34,9 +34,11 @@ value reads only strip digits at degrees <= l, so each step moves the
 layer by the step's own action rows to depth l, paired mod p, and the
 kernel part of f is the layer paired with the step's decomposition to
 depth l.  Stage two reads two values per step, at q and at l + j, each
-from one power of acc and one action row.  Steps and acc are raw unit
-lists; each stage ends with a single `char_act` of its acc, none when
-no step ran, and its postcondition checks that character.
+from one power of acc and one action row; until its first step, and for
+the top value p b_m, it reads chi's own values in closed form, with
+chi(E_v) = p * c_(v/p) or 0 at a p-multiple v.  Steps and acc are raw
+unit lists; each stage ends with a single `char_act` of its acc, none
+when no step ran, and its postcondition checks that character.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .characters import (
     ReducedForm,
     _action_row,
     _action_rows,
+    _basis_value,
     _pairing,
     break_sequence,
     char_act,
@@ -55,6 +58,7 @@ from .characters import (
 from .series import (
     NottinghamElement,
     UnitSeries,
+    _basis_power,
     _compose_raw,
     _decompose_raw,
     _mul_raw,
@@ -129,22 +133,17 @@ class WitnessCheck:
         return "WitnessCheck(ok=%r, reason=%r)" % (self.ok, self.reason)
 
 
-def _basis_power(k, e, p, n):
-    """Raw (1 + t^k)^e through degree n."""
-    raw = [1] + [0] * n
-    raw[k] = 1
-    return _pow_raw(raw, e, p, n)
-
-
 def _acted_value(chi, z, v, m):
     """chi(E_v o u) for u = t*z, the value at v of chi acted on by u.
 
     z is the raw unit part of u through degree m, or None for the
-    identity; m is chi's bound.
+    identity, where the value is chi's own; m is chi's bound.
     """
     prime = chi.prime
     p, psq = prime.p, prime.psq
-    zv = [1] + [0] * (m - v) if z is None else _pow_raw(z, v, p, m - v)
+    if z is None:
+        return _basis_value(chi.coeffs, v, p, psq)
+    zv = _pow_raw(z, v, p, m - v)
     return _pairing(_action_row(v, zv, p, psq, m).items(), chi.coeffs, psq)
 
 
@@ -208,7 +207,7 @@ def clear_low_p_part(chi: Character):
         if i % p and chi.value(i) % p:
             raise ValueError("expects stage-one form: unit digit at %d" % i)
     x_l = chi.value(l) % p
-    top = char_eval(chi, UnitSeries.basis(prime, m, m))
+    top = _basis_value(chi.coeffs, m, p, prime.psq)
     if top % p:
         raise RuntimeError("top value %d is a unit" % top)
     b_m = (top // p) % p

@@ -255,6 +255,13 @@ def _decompose_raw(f, p, psq, m):
     return {j: v for j, v in e.items() if v}
 
 
+def _basis_power(k, e, p, n):
+    """Raw (1 + t^k)^e through degree n, for 1 <= k <= n."""
+    raw = [1] + [0] * n
+    raw[k] = 1
+    return _pow_raw(raw, e, p, n)
+
+
 def _compose_raw(zu, zv, p, n):
     """Raw unit part of u(v(t)) through degree n, from the raw unit parts
     zu of u and zv of v: u(v(t)) = v(t) * z_u(v(t)) = t * zv * (zu o v)."""
@@ -388,12 +395,6 @@ class NottinghamElement:
     def from_unit_coeffs(cls, prime, coeffs):
         prime = as_prime(prime)
         return cls(prime, UnitSeries(prime, coeffs))
-
-    def __call__(self, other):
-        return nott_compose(self, other)
-
-    def inverse(self):
-        return nott_inverse(self)
 
     def __eq__(self, other):
         return (
@@ -553,13 +554,9 @@ def unit_recompose(e: ExponentVector, precision: int) -> UnitSeries:
             "precision %d below exponent bound %d" % (precision, e.bound)
         )
     p = e.prime.p
-    raw = [0] * (precision + 1)
-    raw[0] = 1
+    raw = [1] + [0] * precision
     for j in sorted(e.exps):
-        ej = [0] * (precision + 1)
-        ej[0] = 1
-        ej[j] = 1
-        raw = _mul_raw(raw, _pow_raw(ej, e.exps[j], p, precision), p, precision)
+        raw = _mul_raw(raw, _basis_power(j, e.exps[j], p, precision), p, precision)
     return UnitSeries._from_raw(e.prime, raw)
 
 

@@ -14,6 +14,7 @@ from nottorsion.characters import (
     Character,
     CharType,
     ReducedForm,
+    _basis_value,
     break_sequence,
     char_act,
     char_eval,
@@ -61,7 +62,6 @@ def test_character_basics():
     assert chi.value(5) == 1 and chi.value(7) == 0 and chi.value(9) == 0
     assert chi.is_surjective
     assert str(chi) == "p=2; 5:1,15:2"
-    assert 3 * chi == Character(2, {5: 3, 15: 2})
 
 
 def test_character_validation():
@@ -187,6 +187,24 @@ def test_char_eval_on_basis_units():
     assert char_eval(chi, UnitSeries.basis(2, 11, n)) == 0
     # E_10 = E_5^2, so it picks up 2 * c_5
     assert char_eval(chi, UnitSeries.basis(2, 10, n)) == 2
+
+
+def test_basis_value_matches_decomposition():
+    # the closed form for chi(E_v) against stripping E_v itself, at every
+    # v up to the bound: c_v when p does not divide v, p * c_(v/p) when p
+    # exactly divides v, 0 when p^2 divides v
+    rng = random.Random(205)
+    seen = set()
+    for p in (2, 3, 5, 7):
+        psq = p * p
+        for _ in range(5):
+            top = rng.randrange(2, 3 * p + 4)
+            chi = Character(p, {j: rng.randrange(psq) for j in range(1, top + 1) if j % p})
+            for v in range(1, chi.bound + 1):
+                want = char_eval(chi, UnitSeries.basis(p, v, chi.bound))
+                assert _basis_value(chi.coeffs, v, p, psq) == want, (p, v, str(chi))
+                seen.add((p, v))
+    assert {(2, 4), (2, 8), (3, 9), (5, 25), (7, 49)} <= seen
 
 
 def test_char_eval_composite_argument():

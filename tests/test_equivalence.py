@@ -15,6 +15,7 @@ from nottorsion import equivalence
 from nottorsion.characters import (
     Character,
     _action_row,
+    _basis_value,
     _pairing,
     break_sequence,
     char_act,
@@ -29,7 +30,7 @@ from nottorsion.equivalence import (
     BudgetExceeded,
     _ActionScanner,
     _find,
-    _top_weights,
+    _join_reduced_forms,
     _union,
     bound_exponents,
     count_classes,
@@ -312,7 +313,7 @@ def test_shared_row_matches_per_child_row(p, l, m):
     prime = as_prime(p)
     psq = prime.psq
     coeffs = [f.to_character().coeffs for f in enumerate_reduced_forms(p, l, m)]
-    weight = _top_weights(p, psq, l, m, coeffs)
+    weight = [_basis_value(c, m, p, psq) for c in coeffs]
     rng = random.Random(m * 100 + p)
     for d in range(1, m):
         j = m - d
@@ -544,6 +545,34 @@ def test_weak_counts_against_pairwise_search():
 def test_weak_never_exceeds_strict():
     for p, l, m in [(2, 3, 6), (2, 3, 7), (3, 2, 6), (3, 2, 7), (3, 1, 4)]:
         assert weak_class_count(p, l, m) <= count_classes(p, l, m)
+
+
+def test_pair_searches_agree_with_partition():
+    # every ordered pair of distinct reduced forms: the strict search finds
+    # a witness exactly when the partition puts both in one class, the weak
+    # search exactly when the weak walk joins them
+    counts = {"strict": 0, "weak only": 0, "miss": 0}
+    for p, l, m in [(2, 3, 6), (2, 3, 7), (2, 3, 9), (2, 5, 10), (2, 5, 11),
+                    (3, 1, 4), (3, 1, 5)]:
+        rep = partition_reduced_forms(p, l, m)
+        strict_class = {i: c for c, cls in enumerate(rep.classes) for i in cls}
+        _, weak_parent, _ = _join_reduced_forms(as_prime(p), l, m, strict=False)
+        chars = [f.to_character() for f in rep.forms]
+        for i, j in itertools.permutations(range(len(chars)), 2):
+            chi, psi = chars[i], chars[j]
+            case = (p, l, m, i, j)
+            w = strict_equiv_search(chi, psi)
+            assert (w is not None) == (strict_class[i] == strict_class[j]), case
+            if w is not None:
+                assert verify_witness(chi, psi, w).ok, case
+            elt = weak_equiv_search(chi, psi)
+            joined = _find(weak_parent, i) == _find(weak_parent, j)
+            assert (elt is not None) == joined, case
+            if elt is not None:
+                assert verify_witness(chi, psi, elt).reason in ("ok", "kernel-violation"), case
+            kind = "strict" if w is not None else "weak only" if joined else "miss"
+            counts[kind] += 1
+    assert counts == {"strict": 28, "weak only": 64, "miss": 136}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Guard against imports that nothing uses.
+"""Guard against imports and private helpers that nothing uses.
 
 Parses every Python file under `src/`, `tests/`, `demos/` and `bench/`
 and fails on any name an import binds that the module never references.
 A name listed in the module's `__all__` counts as referenced (a
 re-export), and `from __future__ import ...` is exempt.
+
+A second scan covers `src/` alone: a private module-level function or
+class that no `src/` module references outside its own definition is
+dead library code.  A helper that only tests need belongs in `tests/`.
 """
 
 import ast
@@ -54,6 +58,58 @@ def test_scan_flags_unused_and_accepts_used():
         "print(sys.argv, dumps)\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "osp")]
+
+
+def dead_private_helpers(sources):
+    """(module, line, name) of each private module-level function or class
+    in `sources`, a module -> source map, that no module references
+    outside the definition itself."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.startswith("__"):
+                    own = name
+                    defined.append((module, node.lineno, name))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return sorted(entry for entry in defined if entry[2] not in used)
+
+
+def test_dead_helper_scan_on_literal_source():
+    sources = {
+        "a": (
+            "def _called():\n"
+            "    pass\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Imported:\n"
+            "    pass\n"
+            "def _by_attribute():\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    return _called\n"
+        ),
+        "b": "from a import _Imported\nimport a\nprint(_Imported, a._by_attribute)\n",
+    }
+    assert dead_private_helpers(sources) == [("a", 3, "_recursive")]
+
+
+def test_no_dead_private_helpers():
+    sources = {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert dead_private_helpers(sources) == []
 
 
 def test_no_unused_imports():

@@ -420,12 +420,16 @@ def test_lazy_stages_match_eager_oracle():
             seen.add("step at q = l")
         if any(v % p == 0 for _, v in steps2):
             seen.add("read at l + j divisible by p")
+        if steps2 and steps2[0][1] % p == 0:
+            # read from chi's own values, in closed form
+            seen.add("first stage-two step reads a p-multiple l+j")
     assert seen == {
         "m = pl",
         "m = 2l over F_2",
         "stage-one step",
         "step at q = l",
         "read at l + j divisible by p",
+        "first stage-two step reads a p-multiple l+j",
     }
 
 
