@@ -1,9 +1,11 @@
 """End-to-end acceptance checks for the package's published behavior.
 
 Each criterion runner performs one family of checks and returns a
-CriterionResult carrying per-check detail lines; the test suite runs all
-of them and the CLI exposes them under the `verify` subcommand.  The
-runners are deterministic: randomized suites draw from fixed seeds.
+CriterionResult carrying per-check detail lines: the runner body lists
+its (ok, text) checks and the `_criterion` decorator times it and builds
+the result.  The test suite runs all of them and the CLI exposes them
+under the `verify` subcommand.  The runners are deterministic:
+randomized suites draw from fixed seeds.
 
 Criterion 3 is expected to fail in part: the claimed identity
 "strict count = p * weak count" for depth-2 types is impossible exactly
@@ -22,6 +24,7 @@ import time
 
 from .characters import (
     Character,
+    _type_choice_lists,
     break_sequence,
     char_act,
     char_eval,
@@ -116,34 +119,40 @@ def _valid_types(primes, max_l, max_m):
 
 
 def _random_character_of_type(rng, p, l, m):
-    """Uniform draw over the characters of one type, without enumerating."""
-    psq = p * p
-    coeffs = {}
-    for j in range(1, l):
-        if j % p:
-            coeffs[j] = rng.randrange(psq)
-    coeffs[l] = rng.randrange(1, p) + p * rng.randrange(p)
-    for j in range(l + 1, m):
-        if j % p:
-            coeffs[j] = p * rng.randrange(p)
-    # when p | m the full depth comes from m = p*l, not from a basis
-    # coefficient at m, so only coprime m carries one
-    if m % p:
-        coeffs[m] = p * rng.randrange(1, p)
-    return Character(p, coeffs)
+    """Uniform draw over the characters of one type, without enumerating:
+    one value per index from the layout that enumeration walks."""
+    indices, choices = _type_choice_lists(p, l, m)
+    return Character(p, {j: rng.choice(c) for j, c in zip(indices, choices)})
 
 
 def _random_element(rng, p, n):
     return NottinghamElement.from_unit_coeffs(p, [rng.randrange(p) for _ in range(n)])
 
 
+def _criterion(number, title):
+    """Decorate a runner that returns its (ok, text) checks: the decorated
+    runner times it and returns the CriterionResult of criterion `number`."""
+
+    def wrap(checks_of):
+        @functools.wraps(checks_of)
+        def run(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+            started = time.perf_counter()
+            checks = checks_of(budget, seed)
+            elapsed_ms = int((time.perf_counter() - started) * 1000)
+            return CriterionResult(number, title, checks, elapsed_ms)
+
+        return run
+
+    return wrap
+
+
 # ---------------------------------------------------------------------------
 # Criterion 1: reduced-form enumeration matches the closed-form count.
 
 
-def run_criterion_1(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion(1, "reduced-form enumeration matches the closed-form count")
+def run_criterion_1(budget, seed):
     started = time.perf_counter()
-    checks = []
     bad = []
     types = _valid_types((2, 3, 5), 6, 18)
     for p, l, m in types:
@@ -152,27 +161,16 @@ def run_criterion_1(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         if got != want:
             bad.append("(%d,%d,%d): enumerated %d, closed form %d" % (p, l, m, got, want))
     elapsed = time.perf_counter() - started
-    checks.append(
+    return [
         (
             not bad,
             "%d valid types with p in {2,3,5}, l <= 6, m <= 18 all enumerate "
             "to the closed-form count" % len(types)
             if not bad
             else "mismatches: " + "; ".join(bad),
-        )
-    )
-    checks.append(
-        (
-            elapsed < 1.0,
-            "enumeration sweep finished in %.3f s (limit 1 s)" % elapsed,
-        )
-    )
-    return CriterionResult(
-        1,
-        "reduced-form enumeration matches the closed-form count",
-        checks,
-        int(elapsed * 1000),
-    )
+        ),
+        (elapsed < 1.0, "enumeration sweep finished in %.3f s (limit 1 s)" % elapsed),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +189,8 @@ CRITERION_2_GRID = (
 )
 
 
-def run_criterion_2(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
-    started = time.perf_counter()
+@_criterion(2, "class counts below p: canonical = oracle = bound")
+def run_criterion_2(budget, seed):
     checks = []
     for p, l, m in CRITERION_2_GRID:
         oracle = count_classes(p, l, m, budget=budget)
@@ -209,12 +207,7 @@ def run_criterion_2(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
                 % (p, l, m, canon, oracle, bound),
             )
         )
-    return CriterionResult(
-        2,
-        "class counts below p: canonical = oracle = bound",
-        checks,
-        int((time.perf_counter() - started) * 1000),
-    )
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +215,8 @@ def run_criterion_2(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
 # strict = p * weak identity for depth 2.
 
 
-def run_criterion_3(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
-    started = time.perf_counter()
+@_criterion(3, "legacy count tables and the strict = p * weak identity")
+def run_criterion_3(budget, seed):
     checks = []
     # depth-1 strict counts, by the exhaustive partition, against the
     # published table
@@ -261,20 +254,15 @@ def run_criterion_3(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
                 % (m, strict, 3 * weak[m], reduced_form_bound(3, 2, m)),
             )
         )
-    return CriterionResult(
-        3,
-        "legacy count tables and the strict = p * weak identity",
-        checks,
-        int((time.perf_counter() - started) * 1000),
-    )
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Criterion 4: the merging example at p=2, type <5,15>.
 
 
-def run_criterion_4(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
-    started = time.perf_counter()
+@_criterion(4, "reduced forms of one class merge at p=2, type <5,15>")
+def run_criterion_4(budget, seed):
     checks = []
     chi = parse_character_literal("5:1,15:2", 2)
     psi = parse_character_literal("5:1,11:2,15:2", 2)
@@ -324,20 +312,15 @@ def run_criterion_4(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
             % (rep.class_count, rep.bound, len(rep.witnesses)),
         )
     )
-    return CriterionResult(
-        4,
-        "reduced forms of one class merge at p=2, type <5,15>",
-        checks,
-        int((time.perf_counter() - started) * 1000),
-    )
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Criterion 5: exhaustive power-conjugacy agreement on small types.
 
 
-def run_criterion_5(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
-    started = time.perf_counter()
+@_criterion(5, "power-conjugacy oracle agrees with the closed-form criterion")
+def run_criterion_5(budget, seed):
     rng = random.Random(seed)
     checks = []
     disagreements = []
@@ -389,12 +372,7 @@ def run_criterion_5(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
             "grid includes doubled-depth types over F_2, where the answer flips",
         )
     )
-    return CriterionResult(
-        5,
-        "power-conjugacy oracle agrees with the closed-form criterion",
-        checks,
-        int((time.perf_counter() - started) * 1000),
-    )
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +478,8 @@ PROPERTY_SUITES = (
 )
 
 
-def run_criterion_6(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+@_criterion(6, "randomized property suites")
+def run_criterion_6(budget, seed):
     started = time.perf_counter()
     checks = []
     for offset, (name, case) in enumerate(PROPERTY_SUITES):
@@ -516,12 +495,7 @@ def run_criterion_6(budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         )
     elapsed = time.perf_counter() - started
     checks.append((elapsed < 30.0, "all suites finished in %.1f s (limit 30 s)" % elapsed))
-    return CriterionResult(
-        6,
-        "randomized property suites",
-        checks,
-        int(elapsed * 1000),
-    )
+    return checks
 
 
 CRITERIA = (

@@ -8,9 +8,10 @@ Subcommands:
     power-conj  closed-form conjugacy answer for scalar powers + oracle
     verify      run the acceptance checkers
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-refusal.  A budget refusal is always a distinct failure, never a partial
-answer presented as complete.
+Exit codes: 0 success, 1 verification failure (also a fault the library
+detects in its own results), 2 usage error, 3 budget refusal.  A budget
+refusal is always a distinct failure, never a partial answer presented
+as complete.
 """
 
 import argparse
@@ -23,7 +24,6 @@ from .characters import (
     enumerate_characters,
     format_character_literal,
     parse_character_literal,
-    require_valid_type,
     validate_type,
 )
 from .equivalence import (
@@ -107,8 +107,6 @@ def build_parser():
     p_power.add_argument("--m", type=int)
     p_power.add_argument("--char", help="check this character instead of the "
                          "first one of the type")
-    p_power.add_argument("--no-oracle", action="store_true",
-                         help="skip the brute-force confirmation")
     p_power.set_defaults(func=cmd_power_conj)
 
     p_verify = sub.add_parser("verify", parents=[budget, seed, plain],
@@ -174,7 +172,6 @@ def cmd_classify(args):
 
 
 def cmd_bound(args):
-    require_valid_type(args.p, args.l, args.m)
     b = reduced_form_bound(args.p, args.l, args.m)
     k, eps = bound_exponents(args.p, args.l, args.m)
     if args.format == "json":
@@ -224,9 +221,8 @@ def cmd_power_conj(args):
     if args.char is None:
         if args.l is None or args.m is None:
             raise ValueError("power-conj needs --l and --m, or --char")
-        require_valid_type(args.p, args.l, args.m)
         l, m = args.l, args.m
-        chi = None
+        chi = next(enumerate_characters(args.p, l, m))
     else:
         chi = parse_character_literal(args.char, args.p)
         l, m = break_sequence(chi)
@@ -241,40 +237,28 @@ def cmd_power_conj(args):
     }
     lines = ["type <%d,%d> over F_%d, n = %d" % (l, m, args.p, args.n),
              "predicate  %s" % ("conjugate" if predicted else "not conjugate")]
-    status = 0
-    skip = "--no-oracle" if args.no_oracle else None
-    if skip is None:
-        if chi is None:
-            chi = next(iter(enumerate_characters(args.p, l, m)))
-        try:
-            found, w = power_conjugacy_oracle(chi, args.n, budget=args.budget)
-        except BudgetExceeded as exc:
-            skip = "search cost %s exceeds budget %d" % (exc.cost_text, args.budget)
-    if skip is not None:
-        lines.append("oracle     skipped (%s)" % skip)
-        report["oracle"] = None
+    try:
+        found, w = power_conjugacy_oracle(chi, args.n, budget=args.budget)
+    except BudgetExceeded as exc:
+        lines.append("oracle     skipped (search cost %s exceeds budget %d)"
+                     % (exc.cost_text, args.budget))
+        report["oracle"] = report["agreement"] = None
     else:
         report["character"] = format_character_literal(chi)
         report["oracle"] = found
         report["witness"] = w.to_text() if w else None
+        report["agreement"] = found == predicted
         lines.append("character  %s" % format_character_literal(chi))
         lines.append("oracle     %s%s" % (
             "conjugate" if found else "not conjugate",
             ", witness %s" % w.to_text() if w else "",
         ))
-        if found == predicted:
-            lines.append("agreement  ok")
-        else:
-            lines.append("agreement  MISMATCH")
-            status = 1
-    report["agreement"] = (
-        None if report.get("oracle") is None else report["oracle"] == predicted
-    )
+        lines.append("agreement  %s" % ("ok" if found == predicted else "MISMATCH"))
     if args.format == "json":
         print(json.dumps(report))
     else:
         print("\n".join(lines))
-    return status
+    return 1 if report["agreement"] is False else 0
 
 
 def cmd_verify(args):

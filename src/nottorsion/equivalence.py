@@ -39,13 +39,12 @@ from .characters import (
     _basis_value,
     _pairing,
     break_sequence,
-    char_eval,
     enumerate_reduced_forms,
     format_character_literal,
     require_valid_type,
     scalar_mul,
 )
-from .reduction import Witness
+from .reduction import _kernel_witness
 from .series import (
     NottinghamElement,
     _pow_raw,
@@ -202,8 +201,7 @@ def strict_equiv_search(chi: Character, psi: Character, budget: int = DEFAULT_BU
     z = _flat_scan(chi, psi, budget, strict=True)
     if z is None:
         return None
-    elt = NottinghamElement.from_unit_coeffs(chi.prime, z[1:])
-    return Witness(elt, char_eval(chi, elt.unit))
+    return _kernel_witness(chi, NottinghamElement.from_unit_coeffs(chi.prime, z[1:]))
 
 
 def weak_equiv_search(chi: Character, psi: Character, budget: int = DEFAULT_BUDGET):

@@ -147,6 +147,20 @@ def _acted_value(chi, z, v, m):
     return _pairing(_action_row(v, zv, p, psq, m).items(), chi.coeffs, psq)
 
 
+def _kernel_witness(chi, element):
+    """The Witness of an element that the library built for chi.  A kernel
+    value that is a unit mod p is then an internal fault, not bad input,
+    so it raises RuntimeError where the Witness constructor would raise
+    ValueError."""
+    kernel_value = char_eval(chi, element.unit)
+    if kernel_value % chi.prime.p:
+        raise RuntimeError(
+            "built a witness with kernel value %d, a unit mod %d"
+            % (kernel_value, chi.prime.p)
+        )
+    return Witness(element, kernel_value)
+
+
 def _act_once(chi, acc, m):
     """chi acted on by the accumulated raw unit acc, and its witness.
 
@@ -160,7 +174,7 @@ def _act_once(chi, acc, m):
     else:
         element = NottinghamElement(prime, UnitSeries._from_raw(prime, acc))
         cur = char_act(element, chi)
-    return cur, Witness(element, char_eval(chi, element.unit))
+    return cur, _kernel_witness(chi, element)
 
 
 def reduce_mod_p(chi: Character):
@@ -245,11 +259,10 @@ def reduce(chi: Character):
     stage1, w1 = reduce_mod_p(chi)
     stage2, w2 = clear_low_p_part(stage1)
     total = nott_compose(w2.element, w1.element)
-    witness = Witness(total, char_eval(chi, total.unit))
-    check = verify_witness(chi, stage2, witness)
+    check = verify_witness(chi, stage2, total)
     if not check:
         raise RuntimeError("reduction produced a bad witness: %s" % check.reason)
-    return ReducedForm.from_character(stage2), witness
+    return ReducedForm.from_character(stage2), Witness(total, char_eval(chi, total.unit))
 
 
 def verify_witness(chi: Character, psi: Character, u) -> WitnessCheck:

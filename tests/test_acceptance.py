@@ -12,7 +12,10 @@ fails if a count moves, if a table check breaks, or if the identity
 ever passes there, which would mean a strict count above the bound.
 """
 
+import random
+
 from nottorsion import acceptance
+from nottorsion.characters import _type_choice_lists, break_sequence
 from nottorsion.equivalence import (
     reduced_form_bound,
     type_1m_class_count,
@@ -102,3 +105,18 @@ def test_criterion_6_counts_failures(monkeypatch):
     assert not ok and ", 0 failures" not in roundtrip, "\n" + block
     assert all(ok and ": 20 cases, 0 failures (" in text for ok, text in others), "\n" + block
     assert not result.passed, "\n" + block
+
+
+def test_random_characters_follow_the_type_layout():
+    # every drawn value lies in the choices that enumeration walks at its
+    # index, and the draw has the type it was asked for
+    rng = random.Random(1401)
+    types = acceptance._valid_types((2, 3, 5), 7, 15)
+    for p, l, m in types:
+        indices, choices = _type_choice_lists(p, l, m)
+        for _ in range(3):
+            chi = acceptance._random_character_of_type(rng, p, l, m)
+            assert set(chi.support) <= set(indices)
+            for j, allowed in zip(indices, choices):
+                assert chi.value(j) in allowed, (p, l, m, j)
+            assert break_sequence(chi) == (l, m)

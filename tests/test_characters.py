@@ -99,7 +99,8 @@ def test_validate_type_table():
     true_cases = [(2, 5, 15), (3, 2, 6), (3, 2, 7), (3, 2, 8), (2, 1, 2),
                   (2, 1, 3), (3, 1, 3), (3, 1, 4), (2, 3, 6), (5, 1, 5)]
     false_cases = [(2, 5, 14), (2, 5, 9), (2, 4, 8), (3, 3, 9), (3, 2, 5),
-                   (3, 2, 9), (2, 1, 1), (3, 1, 2)]
+                   (3, 2, 9), (2, 1, 1), (3, 1, 2), (2, 0, 2), (3, -1, 3),
+                   (2, 1, 0), (5, 1, -5)]
     for p, l, m in true_cases:
         assert validate_type(p, l, m), (p, l, m)
         assert require_valid_type(p, l, m) == CharType(l, m)
@@ -329,6 +330,12 @@ def test_act_precision_guard():
         char_act(NottinghamElement.identity(2, 14), chi)
 
 
+def test_act_rejects_mismatched_primes():
+    chi = parse_character_literal("5:1,15:2", 2)
+    with pytest.raises(ValueError, match="mismatched primes"):
+        char_act(NottinghamElement.identity(3, chi.bound), chi)
+
+
 def test_scalar_mul():
     chi = parse_character_literal("5:1,15:2", 2)
     assert scalar_mul(2, chi) == Character(2, {5: 2})
@@ -396,6 +403,18 @@ def test_from_character_rejects_non_reduced():
         ReducedForm.from_character(parse_character_literal("1:4,4:3", 3))
     with pytest.raises(ValueError):
         ReducedForm.from_character(parse_character_literal("5:1,7:2,15:2", 2))
+
+
+@pytest.mark.parametrize("p, l, m", [(2, 3, 6), (2, 5, 10), (3, 1, 4), (3, 2, 7)])
+def test_window_values_are_p_multiples_off_the_unit_digit(p, l, m):
+    # l is the largest index with a unit value, so from_character needs no
+    # check that a window value is a p-multiple: at every window index
+    # other than l the value is one, and at l (m = 2l over F_2) it is one
+    # once the unit digit is taken off
+    for chi in enumerate_characters(p, l, m):
+        for j in window_indices(p, l, m):
+            v = chi.value(j) - (chi.value(l) % p if j == l else 0)
+            assert v % p == 0, (format_character_literal(chi), j)
 
 
 def count_oracle(p, l, m):

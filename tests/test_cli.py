@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from nottorsion import acceptance, reduction
 from nottorsion.characters import char_act, parse_character_literal
 from nottorsion.cli import TABLES_HEADER, build_parser, main
 from nottorsion.reduction import verify_witness
@@ -59,6 +60,22 @@ def test_reduce_already_reduced_identity_witness(capsys):
     assert code == 0
     assert "reduced  2:1,5:3" in out
     assert "witness  t" in out
+
+
+def test_reduce_internal_fault_is_a_verification_failure(monkeypatch, capsys):
+    # dropping stage one's factor (1+t^l)^f at l = 2 leaves the step off
+    # the kernel: a fault in the library, so exit 1, not a usage error
+    basis_power = reduction._basis_power
+    monkeypatch.setattr(
+        reduction,
+        "_basis_power",
+        lambda k, e, p, n: basis_power(k, 0 if k == 2 else e, p, n),
+    )
+    code, out, err = run(capsys, "reduce", "--p", "3", "--char", "1:1,2:1,7:3")
+    assert code == 1
+    assert err.startswith("verification failure: ")
+    assert "kernel value 7, a unit mod 3" in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +284,7 @@ def test_power_conj_oracle_skipped_at_huge_cost(capsys):
     assert err == ""
 
 
-@pytest.mark.parametrize("budget", ["10", "1000"])
+@pytest.mark.parametrize("budget", ["0", "10", "1000"])
 def test_power_conj_n_divisible_by_p_is_an_error_at_any_budget(capsys, budget):
     # the oracle rejects n before it checks the cost, 3^4 = 81
     code, out, err = run(capsys, "power-conj", "--p", "3", "--l", "1", "--m", "4",
@@ -277,11 +294,20 @@ def test_power_conj_n_divisible_by_p_is_an_error_at_any_budget(capsys, budget):
     assert out == ""
 
 
-def test_power_conj_no_oracle_flag(capsys):
+def test_power_conj_budget_0_skips_the_oracle(capsys):
     code, out, err = run(capsys, "power-conj", "--p", "3", "--l", "1", "--m", "4",
-                         "--n", "4", "--no-oracle")
+                         "--n", "4", "--budget", "0")
     assert code == 0
-    assert "oracle     skipped (--no-oracle)" in out
+    assert out == (
+        "type <1,4> over F_3, n = 4\n"
+        "predicate  conjugate\n"
+        "oracle     skipped (search cost 3^4 = 81 exceeds budget 0)\n"
+    )
+    code, out, err = run(capsys, "power-conj", "--p", "3", "--l", "1", "--m", "4",
+                         "--n", "4", "--budget", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"p": 3, "l": 1, "m": 4, "n": 4, "predicate": True,
+                               "oracle": None, "agreement": None}
 
 
 def test_power_conj_needs_type_or_char(capsys):
@@ -327,6 +353,35 @@ def test_verify_json(capsys):
 def test_verify_rejects_bad_criterion(capsys):
     code, out, err = run(capsys, "verify", "--only", "9")
     assert code == 2
+
+
+def _stub_criterion(number, ok):
+    def run(budget, seed):
+        return acceptance.CriterionResult(
+            number, "stub %d" % number, [(True, "first"), (ok, "second")], 7)
+
+    return run
+
+
+def test_verify_runs_every_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+        _stub_criterion(k, ok) for k, ok in ((1, True), (2, False), (3, True))))
+    code, out, err = run(capsys, "verify")
+    assert code == 1
+    assert out == (
+        "criterion 1 PASS  stub 1  (7 ms)\n  [ok] first\n  [ok] second\n"
+        "criterion 2 FAIL  stub 2  (7 ms)\n  [ok] first\n  [FAIL] second\n"
+        "criterion 3 PASS  stub 3  (7 ms)\n  [ok] first\n  [ok] second\n"
+    )
+    assert err == "1 of 3 criteria failed\n"
+    code, out, err = run(capsys, "verify", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == [
+        {"criterion": k, "title": "stub %d" % k, "passed": ok, "runtime_ms": 7,
+         "checks": [{"ok": True, "text": "first"}, {"ok": ok, "text": "second"}]}
+        for k, ok in ((1, True), (2, False), (3, True))
+    ]
+    assert err == "1 of 3 criteria failed\n"
 
 
 def test_verify_criterion_3_honors_budget(capsys):
@@ -383,6 +438,7 @@ VALID_ARGV = {
         ("verify", ("--format", "csv"), "invalid choice"),
         ("tables", ("--format", "csv"), "invalid choice"),
         ("classify", ("--format", "csv"), "invalid choice"),
+        ("power-conj", ("--no-oracle",), "unrecognized arguments"),
     ],
 )
 def test_subcommand_rejects_options_it_does_not_read(capsys, subcommand, extra, message):

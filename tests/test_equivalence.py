@@ -96,6 +96,28 @@ def test_strict_search_type_mismatch_is_none():
     assert weak_equiv_search(chi, psi) is None
 
 
+def test_searches_are_none_for_a_non_surjective_side():
+    # a character with no unit value has no break type, so no search
+    # can join it to one that has, in either direction
+    chi = parse_character_literal("5:1,15:2", 2)
+    flat = parse_character_literal("5:2,15:2", 2)
+    for src, tgt in ((chi, flat), (flat, chi), (flat, flat)):
+        assert strict_equiv_search(src, tgt) is None
+        assert weak_equiv_search(src, tgt) is None
+
+
+def test_strict_search_internal_fault_raises_runtime_error(monkeypatch):
+    # with the kernel test broken the scan returns a candidate off the
+    # kernel; that is the library's fault, so RuntimeError, not the
+    # Witness constructor's ValueError
+    monkeypatch.setattr(equivalence, "_kernel_value_modp", lambda *args: 0)
+    chi = parse_character_literal("5:1", 2)
+    psi = parse_character_literal("5:1,7:2,9:2", 2)
+    assert break_sequence(chi) == break_sequence(psi) == (5, 10)
+    with pytest.raises(RuntimeError, match="a unit mod 2"):
+        strict_equiv_search(chi, psi)
+
+
 def test_strict_search_prime_mismatch_raises():
     with pytest.raises(ValueError):
         strict_equiv_search(

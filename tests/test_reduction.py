@@ -240,6 +240,12 @@ def test_verify_flags_incompatible():
     # element tracked too shallow to evaluate the action
     chk = verify_witness(chi, chi, NottinghamElement.identity(2, 3))
     assert not chk.ok and chk.reason == "incompatible"
+    # an element that is not a NottinghamElement, characters that are not
+    # Characters
+    u = NottinghamElement.identity(2, chi.bound)
+    assert verify_witness(chi, chi, u.unit).reason == "incompatible"
+    assert verify_witness("5:1,15:2", chi, u).reason == "incompatible"
+    assert verify_witness(chi, "5:1,15:2", u).reason == "incompatible"
 
 
 def test_verify_accepts_witness_object():
@@ -431,6 +437,35 @@ def test_lazy_stages_match_eager_oracle():
         "read at l + j divisible by p",
         "first stage-two step reads a p-multiple l+j",
     }
+
+
+def test_stage2_never_moves_the_window():
+    # each step u_j = 1 mod t^(l+j), j >= 1, fixes E_v mod t^(m+1) for
+    # v > m - l - j, so stage two leaves every window value as it is
+    rng = random.Random(1203)
+    moved = 0
+    for p, l, m in _differential_types():
+        s1, _ = reduce_mod_p(_typed_character(rng, p, l, m))
+        s2, _ = clear_low_p_part(s1)
+        for v in range(m - l, m + 1):
+            if v % p:
+                assert s2.value(v) == s1.value(v), (p, l, m, v)
+        moved += s2 != s1
+    # the stage changed most characters below the window
+    assert moved > len(_differential_types()) // 2
+
+
+def test_reduce_internal_fault_raises_runtime_error(monkeypatch):
+    # a stage-one step without its factor (1+t^l)^f leaves the kernel;
+    # that is the library's fault, not the caller's, so RuntimeError
+    basis_power = reduction._basis_power
+    monkeypatch.setattr(
+        reduction,
+        "_basis_power",
+        lambda k, e, p, n: basis_power(k, 0 if k == 2 else e, p, n),
+    )
+    with pytest.raises(RuntimeError, match="kernel value 7, a unit mod 3"):
+        reduce(parse_character_literal("1:1,2:1,7:3", 3))
 
 
 def test_each_stage_acts_at_most_once(monkeypatch):

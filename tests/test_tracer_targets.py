@@ -3,12 +3,15 @@
 `bench/tracer.py` wraps library functions by name, private kernels and
 scanner methods included, and a traced run dies on a name that no longer
 resolves.  This test loads the tracer from its file, without importing
-the benchmark package, and checks every name it wraps.
+the benchmark package, and checks every name it wraps.  It also checks
+that the acceptance runners sit where the tracer can swap them.
 """
 
 import importlib
 import importlib.util
 import pathlib
+
+from nottorsion import acceptance
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -37,3 +40,12 @@ def test_every_wrapped_target_resolves():
         if not ok:
             missing.append("%s.%s" % (module, attr))
     assert missing == []
+
+
+def test_criteria_is_a_flat_tuple_of_the_module_runners():
+    # the tracer swaps a wrapped function in module attributes and in flat
+    # tuples only; a runner kept anywhere else would lose its span
+    assert type(acceptance.CRITERIA) is tuple
+    assert acceptance.CRITERIA == tuple(
+        getattr(acceptance, "run_criterion_%d" % k) for k in range(1, 7)
+    )
