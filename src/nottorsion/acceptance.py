@@ -52,6 +52,7 @@ from .reduction import verify_witness
 from .series import (
     NottinghamElement,
     UnitSeries,
+    _Value,
     nott_compose,
     nott_inverse,
     parse_nottingham,
@@ -72,17 +73,19 @@ SAMPLE_COST_CAP = 2048  # p^m cap for the exhaustive conjugacy sweep
 PROPERTY_CASES = 1000  # random cases per property suite in criterion 6
 
 
-class CriterionResult:
-    """Outcome of one acceptance criterion."""
+class CriterionResult(_Value):
+    """Outcome of one acceptance criterion; results compare and hash on
+    every slot, `runtime_ms` included."""
 
     __slots__ = ("number", "title", "passed", "checks", "runtime_ms")
 
     def __init__(self, number, title, checks, runtime_ms):
-        self.number = number
-        self.title = title
-        self.checks = tuple(checks)
-        self.passed = all(ok for ok, _ in self.checks)
-        self.runtime_ms = runtime_ms
+        checks = tuple(checks)
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "passed", all(ok for ok, _ in checks))
+        object.__setattr__(self, "runtime_ms", runtime_ms)
 
     def summary_line(self):
         verdict = "PASS" if self.passed else "FAIL"

@@ -33,11 +33,12 @@ from .series import (
     _decompose_raw,
     _frobenius,
     _mul_raw,
+    _Value,
     as_prime,
 )
 
 
-class Character:
+class Character(_Value):
     """A character of the principal unit group, valued in Z/p^2 Z.
 
     `coeffs` maps basis indices j (coprime to p) to values c_j; zero
@@ -64,9 +65,6 @@ class Character:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_key", tuple(sorted(clean.items())))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Character is immutable")
-
     def value(self, j):
         """c_j, the value on the basis unit E_j."""
         return self.coeffs.get(int(j), 0)
@@ -90,15 +88,8 @@ class Character:
             top = max(top, j * p if v % p else j)
         return top
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Character)
-            and other.prime == self.prime
-            and other._key == self._key
-        )
-
-    def __hash__(self):
-        return hash((self.prime.p, self._key))
+    def _ident(self):
+        return self.prime, self._key
 
     def __str__(self):
         return "p=%d; %s" % (self.prime.p, format_character_literal(self))
@@ -122,6 +113,9 @@ class CharType(tuple):
     @property
     def m(self):
         return self[1]
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
         return "CharType(l=%d, m=%d)" % self
@@ -159,7 +153,7 @@ def break_sequence(chi: Character) -> CharType:
     return CharType(max(units), chi.bound)
 
 
-class StandardExpansion:
+class StandardExpansion(_Value):
     """Digit split of a surjective character: c_j = x_j + p * a_j.
 
     Unit digits x_j live at indices j <= l, p-multiple digits a_j at all
@@ -175,9 +169,6 @@ class StandardExpansion:
         object.__setattr__(self, "a", {j: v for j, v in a.items() if v})
         object.__setattr__(self, "char_type", char_type)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StandardExpansion is immutable")
-
     def to_character(self) -> Character:
         p = self.prime.p
         coeffs = {}
@@ -187,13 +178,12 @@ class StandardExpansion:
             coeffs[j] = coeffs.get(j, 0) + p * v
         return Character(self.prime, coeffs)
 
-    def __eq__(self, other):
+    def _ident(self):
         return (
-            isinstance(other, StandardExpansion)
-            and other.prime == self.prime
-            and other.x == self.x
-            and other.a == self.a
-            and other.char_type == self.char_type
+            self.prime,
+            tuple(sorted(self.x.items())),
+            tuple(sorted(self.a.items())),
+            self.char_type,
         )
 
     def __repr__(self):
@@ -229,7 +219,7 @@ def window_indices(p, l, m):
     return tuple(j for j in range(m - l, m + 1) if j % p)
 
 
-class ReducedForm:
+class ReducedForm(_Value):
     """Canonical representative data: unit digit x_l plus window p-digits.
 
     Converts losslessly to a character supported on {l} union [m-l, m].
@@ -264,9 +254,6 @@ class ReducedForm:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "x_l", x_l)
         object.__setattr__(self, "b", bb)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReducedForm is immutable")
 
     @property
     def char_type(self):
@@ -304,18 +291,8 @@ class ReducedForm:
             raise ValueError("p-digit at the unit index must vanish")
         return cls(chi.prime, l, m, x_l, b)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReducedForm)
-            and other.prime == self.prime
-            and (other.l, other.m, other.x_l) == (self.l, self.m, self.x_l)
-            and other.b == self.b
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.prime.p, self.l, self.m, self.x_l, tuple(sorted(self.b.items())))
-        )
+    def _ident(self):
+        return self.prime, self.l, self.m, self.x_l, tuple(sorted(self.b.items()))
 
     def __repr__(self):
         return "ReducedForm(p=%d, l=%d, m=%d, x_l=%d, b=%r)" % (

@@ -49,6 +49,7 @@ from .series import (
     NottinghamElement,
     _pow_raw,
     _strip_run,
+    _Value,
     as_prime,
     format_nottingham_product,
 )
@@ -220,13 +221,14 @@ def weak_equiv_search(chi: Character, psi: Character, budget: int = DEFAULT_BUDG
 # Partition of reduced forms into strict and weak classes.
 
 
-class ClassReport:
+class ClassReport(_Value):
     """Result of partitioning the reduced forms of a type into classes.
 
     `forms` lists the reduced forms in enumeration order; `classes` are
     tuples of indices into that list, each sorted ascending, the list
     sorted by first member; `witnesses` are (source, target, element)
     triples recorded at each union, all of which pass verify_witness.
+    Reports compare and hash on every slot, `runtime_ms` included.
     """
 
     __slots__ = (
@@ -245,9 +247,6 @@ class ClassReport:
     def __init__(self, **kw):
         for name in self.__slots__:
             object.__setattr__(self, name, kw[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassReport is immutable")
 
     def representative(self, class_index):
         """Lexicographically smallest member of the class."""

@@ -63,12 +63,13 @@ from .series import (
     _decompose_raw,
     _mul_raw,
     _pow_raw,
+    _Value,
     format_nottingham_product,
     nott_compose,
 )
 
 
-class Witness:
+class Witness(_Value):
     """A certifying group element u with cached kernel value chi(u(t)/t).
 
     The kernel value is stored mod p^2 and must vanish mod p; that is the
@@ -89,9 +90,6 @@ class Witness:
         object.__setattr__(self, "element", element)
         object.__setattr__(self, "kernel_value", kernel_value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Witness is immutable")
-
     @property
     def prime(self):
         return self.element.prime
@@ -99,18 +97,11 @@ class Witness:
     def to_text(self):
         return format_nottingham_product(self.element)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Witness)
-            and other.element == self.element
-            and other.kernel_value == self.kernel_value
-        )
-
     def __repr__(self):
         return "Witness(%s, kernel_value=%d)" % (self.to_text(), self.kernel_value)
 
 
-class WitnessCheck:
+class WitnessCheck(_Value):
     """Outcome of verify_witness: truthy on success, with a reason code."""
 
     __slots__ = ("ok", "reason")
@@ -122,9 +113,6 @@ class WitnessCheck:
             raise ValueError("unknown reason %r" % reason)
         object.__setattr__(self, "ok", bool(ok))
         object.__setattr__(self, "reason", reason)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WitnessCheck is immutable")
 
     def __bool__(self):
         return self.ok

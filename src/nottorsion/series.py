@@ -35,7 +35,40 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class Prime:
+class _Value:
+    """Base of the library's records: immutable, equal and hashed by
+    content, and restored by pickle and copy.
+
+    A record sets its slots once, in its constructor, through
+    object.__setattr__.  Equality and hashing read the type and
+    `_ident()`, by default the tuple of the record's slots; a record that
+    holds a dict overrides `_ident` with a sorted-items key.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _ident(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return other is self or (
+            type(other) is type(self) and other._ident() == self._ident()
+        )
+
+    def __hash__(self):
+        return hash((type(self), self._ident()))
+
+    def __setstate__(self, state):
+        # pickle and copy hand back (None, {slot: value}); setting the
+        # slots through __setattr__ would raise
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Prime(_Value):
     """A prime p in the supported range 2..31, with p^2 cached."""
 
     __slots__ = ("p", "psq")
@@ -47,14 +80,8 @@ class Prime:
             raise ValueError("prime must lie in 2..31, got %d" % p)
         if any(p % d == 0 for d in range(2, p)):
             raise ValueError("%d is not prime" % p)
-        self.p = p
-        self.psq = p * p
-
-    def __eq__(self, other):
-        return isinstance(other, Prime) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Prime", self.p))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "psq", p * p)
 
     def __repr__(self):
         return "Prime(%d)" % self.p
@@ -272,7 +299,7 @@ def _compose_raw(zu, zv, p, n):
 # Public value types.
 
 
-class UnitSeries:
+class UnitSeries(_Value):
     """A principal unit 1 + a_1 t + ... + a_N t^N over F_p.
 
     `coeffs` holds (a_1, ..., a_N); the constant term is always 1.  The
@@ -288,9 +315,6 @@ class UnitSeries:
             raise ValueError("unit series needs precision >= 1")
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitSeries is immutable")
 
     @property
     def precision(self):
@@ -344,16 +368,6 @@ class UnitSeries:
     def __pow__(self, e):
         return unit_pow(self, e)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnitSeries)
-            and other.prime == self.prime
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.prime.p, self.coeffs))
-
     def __str__(self):
         return format_unit(self)
 
@@ -361,7 +375,7 @@ class UnitSeries:
         return "UnitSeries(p=%d, %s)" % (self.prime.p, format_unit(self))
 
 
-class NottinghamElement:
+class NottinghamElement(_Value):
     """A group element u(t) = t * z(t) with z a principal unit.
 
     The unit part is tracked through degree N (its precision), so u itself
@@ -379,9 +393,6 @@ class NottinghamElement:
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "unit", unit)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NottinghamElement is immutable")
-
     @property
     def precision(self):
         return self.unit.precision
@@ -396,16 +407,6 @@ class NottinghamElement:
         prime = as_prime(prime)
         return cls(prime, UnitSeries(prime, coeffs))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NottinghamElement)
-            and other.prime == self.prime
-            and other.unit == self.unit
-        )
-
-    def __hash__(self):
-        return hash((self.prime.p, "nott", self.unit.coeffs))
-
     def __str__(self):
         if all(c == 0 for c in self.unit.coeffs):
             return "t"
@@ -415,7 +416,7 @@ class NottinghamElement:
         return "NottinghamElement(p=%d, %s)" % (self.prime.p, str(self))
 
 
-class ExponentVector:
+class ExponentVector(_Value):
     """Exponents on the basis units E_j: a map j -> e_j mod p^2.
 
     Keys are coprime to p and bounded by `bound`; zero exponents are
@@ -443,19 +444,8 @@ class ExponentVector:
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "exps", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExponentVector is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExponentVector)
-            and other.prime == self.prime
-            and other.bound == self.bound
-            and other.exps == self.exps
-        )
-
-    def __hash__(self):
-        return hash((self.prime.p, self.bound, tuple(sorted(self.exps.items()))))
+    def _ident(self):
+        return self.prime, self.bound, tuple(sorted(self.exps.items()))
 
     def __repr__(self):
         return "ExponentVector(p=%d, bound=%d, %r)" % (

@@ -5,15 +5,20 @@ the closed-form count and against a naive in-test scan over the full
 candidate space.
 """
 
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
 
 from nottorsion import equivalence
+from nottorsion.acceptance import CriterionResult
 from nottorsion.characters import (
     Character,
+    CharType,
+    ReducedForm,
     _action_row,
     _basis_value,
     _pairing,
@@ -24,10 +29,12 @@ from nottorsion.characters import (
     enumerate_reduced_forms,
     parse_character_literal,
     scalar_mul,
+    standard_expansion,
 )
 from nottorsion.equivalence import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    ClassReport,
     _ActionScanner,
     _find,
     _join_reduced_forms,
@@ -47,7 +54,9 @@ from nottorsion.equivalence import (
 )
 from nottorsion.reduction import reduce, verify_witness
 from nottorsion.series import (
+    ExponentVector,
     NottinghamElement,
+    Prime,
     UnitSeries,
     _pow_raw,
     as_prime,
@@ -384,10 +393,52 @@ def test_class_counts_at_or_above_p_over_f2(l, m, want):
         ).ok
 
 
-def test_partition_report_immutable():
-    rep = partition_reduced_forms(2, 1, 2)
+def _report():
+    # runtime_ms is pinned so that two partitions build equal reports
+    rep = partition_reduced_forms(2, 3, 6)
+    slots = {name: getattr(rep, name) for name in ClassReport.__slots__}
+    return ClassReport(**dict(slots, runtime_ms=5))
+
+
+def _chi():
+    return Character(3, {1: 1, 2: 3, 4: 3})
+
+
+def _witness_check():
+    form, w = reduce(_chi())
+    return verify_witness(_chi(), form.to_character(), w)
+
+
+# name -> (build, slot): each call of build() makes a new instance, all
+# of them equal
+RECORDS = {
+    "Prime": (lambda: Prime(3), "p"),
+    "UnitSeries": (lambda: UnitSeries(3, (1, 2, 0, 1)), "coeffs"),
+    "NottinghamElement": (
+        lambda: NottinghamElement.from_unit_coeffs(3, (1, 2, 0, 1)), "unit"),
+    "ExponentVector": (lambda: ExponentVector(3, 5, {1: 4, 4: 2}), "exps"),
+    "Character": (_chi, "coeffs"),
+    "CharType": (lambda: CharType(1, 4), "l"),
+    "StandardExpansion": (lambda: standard_expansion(_chi()), "x"),
+    "ReducedForm": (lambda: ReducedForm(3, 1, 4, 1, {4: 1}), "b"),
+    "Witness": (lambda: reduce(_chi())[1], "kernel_value"),
+    "WitnessCheck": (_witness_check, "ok"),
+    "ClassReport": (_report, "class_count"),
+    "CriterionResult": (lambda: CriterionResult(3, "title", [(True, "x")], 5), "passed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_returned_records_are_values(name):
+    build, slot = RECORDS[name]
+    value, twin = build(), build()
+    assert type(value).__name__ == name and twin is not value
     with pytest.raises(AttributeError):
-        rep.class_count = 7
+        setattr(value, slot, getattr(twin, slot))
+    assert value == twin and hash(value) == hash(twin)
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                  copy.deepcopy(value)):
+        assert clone == value and hash(clone) == hash(value)
 
 
 # ---------------------------------------------------------------------------

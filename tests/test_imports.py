@@ -8,6 +8,10 @@ re-export), and `from __future__ import ...` is exempt.
 A second scan covers `src/` alone: a private module-level function or
 class that no `src/` module references outside its own definition is
 dead library code.  A helper that only tests need belongs in `tests/`.
+
+A third scan, also of `src/`, keeps the value rules of the library's
+records in one place: no class but `series._Value` defines
+`__setattr__`, `__eq__` or `__hash__`.
 """
 
 import ast
@@ -110,6 +114,43 @@ def test_no_dead_private_helpers():
         for path in sorted((ROOT / "src").rglob("*.py"))
     }
     assert dead_private_helpers(sources) == []
+
+
+VALUE_RULES = ("__setattr__", "__eq__", "__hash__")
+
+
+def restated_value_rules(source):
+    """(line, class, method) of each value-rule method that a class other
+    than `_Value` defines in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name != "_Value":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in VALUE_RULES:
+                    found.append((item.lineno, node.name, item.name))
+    return found
+
+
+def test_value_rule_scan_on_literal_source():
+    source = (
+        "class _Value:\n"
+        "    def __eq__(self, other):\n"
+        "        pass\n"
+        "class Record(_Value):\n"
+        "    def _ident(self):\n"
+        "        pass\n"
+        "    def __hash__(self):\n"
+        "        pass\n"
+    )
+    assert restated_value_rules(source) == [(7, "Record", "__hash__")]
+
+
+def test_value_rules_live_only_in_the_value_base():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, cls, name in restated_value_rules(path.read_text()):
+            found.append("%s:%d %s.%s" % (path.relative_to(ROOT), line, cls, name))
+    assert found == []
 
 
 def test_no_unused_imports():
