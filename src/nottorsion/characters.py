@@ -13,15 +13,20 @@ The break type <l, m> of a surjective character has l the largest index
 carrying a unit value and m its bound.  Valid types satisfy gcd(l,p)=1,
 m >= p*l, and p | m forces m = p*l.
 
+The standard expansion splits each value c_j = x_j + p * a_j into a unit
+digit x_j and a p-digit a_j, both in 0..p-1; x_j vanishes above l.
+
 The Nottingham group acts on characters by precomposition: the element u
 sends chi to the character f |-> chi(f o u).  Reduced forms are the
-canonical orbit representatives: support inside {l} union [m-l, m], a
-bare unit digit at l, and p-multiples with digits b_j on the window
-(when m = 2l the two overlap at l and both digits live there).
+canonical orbit representatives: their standard expansion has its unit
+digit only at l and its p-digits only on the window [m-l, m] (when
+m = 2l the two overlap at l and both digits live there).
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import re
@@ -98,27 +103,8 @@ class Character(_Value):
         return "Character(p=%d, %r)" % (self.prime.p, dict(self._key))
 
 
-class CharType(tuple):
-    """A break type <l, m>: l the unit depth, m the full depth."""
-
-    __slots__ = ()
-
-    def __new__(cls, l, m):
-        return super().__new__(cls, (int(l), int(m)))
-
-    @property
-    def l(self):
-        return self[0]
-
-    @property
-    def m(self):
-        return self[1]
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return "CharType(l=%d, m=%d)" % self
+CharType = collections.namedtuple("CharType", "l m")
+CharType.__doc__ = "A break type <l, m>: l the unit depth, m the full depth."
 
 
 def validate_type(p, l, m) -> bool:
@@ -141,7 +127,7 @@ def require_valid_type(p, l, m) -> CharType:
         raise ValueError(
             "<%d, %d> is not a valid break type for p=%d" % (l, m, as_prime(p).p)
         )
-    return CharType(l, m)
+    return CharType(int(l), int(m))
 
 
 def break_sequence(chi: Character) -> CharType:
@@ -156,8 +142,8 @@ def break_sequence(chi: Character) -> CharType:
 class StandardExpansion(_Value):
     """Digit split of a surjective character: c_j = x_j + p * a_j.
 
-    Unit digits x_j live at indices j <= l, p-multiple digits a_j at all
-    supported indices; zero digits are dropped.
+    Unit digits x_j live at indices j <= l, p-digits a_j at any supported
+    index; zero digits are dropped.
     """
 
     __slots__ = ("prime", "x", "a", "char_type")
@@ -171,9 +157,7 @@ class StandardExpansion(_Value):
 
     def to_character(self) -> Character:
         p = self.prime.p
-        coeffs = {}
-        for j, v in self.x.items():
-            coeffs[j] = coeffs.get(j, 0) + v
+        coeffs = dict(self.x)
         for j, v in self.a.items():
             coeffs[j] = coeffs.get(j, 0) + p * v
         return Character(self.prime, coeffs)
@@ -196,21 +180,14 @@ class StandardExpansion(_Value):
 
 
 def standard_expansion(chi: Character) -> StandardExpansion:
-    """Split each value c_j into a unit digit x_j and a p-digit a_j."""
+    """Split each value c_j into a unit digit x_j and a p-digit a_j.
+
+    l is the largest index with a unit value, so every x_j above l is 0.
+    """
     p = chi.prime.p
-    ct = break_sequence(chi)
-    x, a = {}, {}
-    for j, v in chi.coeffs.items():
-        if j <= ct.l:
-            x[j] = v % p
-            a[j] = (v - v % p) // p % p
-        else:
-            if v % p:
-                raise ValueError(
-                    "unit value at index %d above unit depth %d" % (j, ct.l)
-                )
-            a[j] = (v // p) % p
-    return StandardExpansion(chi.prime, x, a, ct)
+    x = {j: v % p for j, v in chi.coeffs.items()}
+    a = {j: v // p for j, v in chi.coeffs.items()}
+    return StandardExpansion(chi.prime, x, a, break_sequence(chi))
 
 
 def window_indices(p, l, m):
@@ -219,36 +196,43 @@ def window_indices(p, l, m):
     return tuple(j for j in range(m - l, m + 1) if j % p)
 
 
-class ReducedForm(_Value):
-    """Canonical representative data: unit digit x_l plus window p-digits.
+@functools.cache
+def _window_digits(p, l, m):
+    """Window index -> allowed p-digits: 0..p-1, except that the top digit
+    b_m is nonzero when p does not divide m.  The dict is cached per type
+    and shared, so callers only read it."""
+    return {j: range(1 if j == m and m % p else 0, p) for j in window_indices(p, l, m)}
 
-    Converts losslessly to a character supported on {l} union [m-l, m].
-    The window map `b` carries every coprime index of [m-l, m], zeros
-    included; when p does not divide m the top digit b_m must be nonzero.
-    For m = 2l the index l lies in the window and carries both digits.
+
+class ReducedForm(_Value):
+    """Canonical orbit representative: unit digit x_l plus window p-digits b.
+
+    The standard expansion of its character has the unit digit x_l only at
+    l and the p-digits b_j only on the window [m-l, m].  The window map `b`
+    carries every coprime index of the window, zeros included; when p does
+    not divide m the top digit b_m is nonzero.  For m = 2l the index l lies
+    in the window and carries both digits.
     """
 
     __slots__ = ("prime", "l", "m", "x_l", "b")
 
     def __init__(self, prime, l, m, x_l, b):
         prime = as_prime(prime)
-        require_valid_type(prime, l, m)
-        l, m = int(l), int(m)
+        l, m = require_valid_type(prime, l, m)
         x_l = int(x_l)
         if not 1 <= x_l < prime.p:
             raise ValueError("unit digit x_l must lie in 1..%d" % (prime.p - 1))
-        win = window_indices(prime, l, m)
-        bb = {}
-        for j in win:
-            v = int(b.get(j, 0))
-            if not 0 <= v < prime.p:
-                raise ValueError("window digit at %d out of range" % j)
-            bb[j] = v
-        extra = set(b) - set(win)
+        digits = _window_digits(prime.p, l, m)
+        extra = set(b) - set(digits)
         if extra:
             raise ValueError("window digits at indices outside [m-l, m]: %r" % sorted(extra))
-        if m % prime.p and bb[m] == 0:
-            raise ValueError("top digit b_m must be nonzero when p does not divide m")
+        bb = {}
+        for j, allowed in digits.items():
+            v = bb[j] = int(b.get(j, 0))
+            if v not in allowed:
+                raise ValueError(
+                    "window digit at %d must lie in %d..%d" % (j, allowed[0], allowed[-1])
+                )
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "m", m)
@@ -260,36 +244,20 @@ class ReducedForm(_Value):
         return CharType(self.l, self.m)
 
     def to_character(self) -> Character:
-        p = self.prime.p
-        coeffs = {self.l: self.x_l}
-        for j, v in self.b.items():
-            coeffs[j] = coeffs.get(j, 0) + p * v
-        return Character(self.prime, coeffs)
+        return StandardExpansion(
+            self.prime, {self.l: self.x_l}, self.b, self.char_type
+        ).to_character()
 
     @classmethod
     def from_character(cls, chi: Character) -> "ReducedForm":
-        p = chi.prime.p
-        ct = break_sequence(chi)
-        l, m = ct
-        win = window_indices(chi.prime, l, m)
-        cl = chi.value(l)
-        x_l = cl % p
-        # l is the largest index with a unit value, so every window value
-        # is a p-multiple once the unit digit x_l is taken off at l
-        b = {}
-        for j in win:
-            v = chi.value(j)
-            if j == l:
-                v -= x_l
-            b[j] = (v // p) % p
-        rest = set(chi.support) - set(win) - {l}
-        if rest:
-            raise ValueError(
-                "support outside {l} union window: %r" % sorted(rest)
-            )
-        if l not in win and cl != x_l:
-            raise ValueError("p-digit at the unit index must vanish")
-        return cls(chi.prime, l, m, x_l, b)
+        """The reduced form of chi, or ValueError.  The constructor refuses
+        p-digits off the window; this checks that unit digits lie only at l."""
+        se = standard_expansion(chi)
+        l, m = se.char_type
+        stray = sorted(set(se.x) - {l})
+        if stray:
+            raise ValueError("unit digits below l at %r" % stray)
+        return cls(chi.prime, l, m, se.x[l], se.a)
 
     def _ident(self):
         return self.prime, self.l, self.m, self.x_l, tuple(sorted(self.b.items()))
@@ -463,16 +431,10 @@ def enumerate_reduced_forms(p, l, m):
     """All reduced forms of type <l, m>, in lexicographic order."""
     prime = as_prime(p)
     require_valid_type(prime, l, m)
-    win = window_indices(prime, l, m)
-    digit_choices = []
-    for j in win:
-        if j == m and m % prime.p:
-            digit_choices.append(range(1, prime.p))
-        else:
-            digit_choices.append(range(prime.p))
+    digits = _window_digits(prime.p, l, m)
     for x_l in range(1, prime.p):
-        for digits in itertools.product(*digit_choices):
-            yield ReducedForm(prime, l, m, x_l, dict(zip(win, digits)))
+        for values in itertools.product(*digits.values()):
+            yield ReducedForm(prime, l, m, x_l, dict(zip(digits, values)))
 
 
 # ---------------------------------------------------------------------------

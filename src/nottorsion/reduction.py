@@ -250,7 +250,10 @@ def reduce(chi: Character):
     check = verify_witness(chi, stage2, total)
     if not check:
         raise RuntimeError("reduction produced a bad witness: %s" % check.reason)
-    return ReducedForm.from_character(stage2), Witness(total, char_eval(chi, total.unit))
+    # with u_i = t * z_i, total = u2 o u1 has unit part z1 * (z2 o u1), and
+    # chi of that is chi(z1) + (chi acted on by u1)(z2)
+    kernel_value = w1.kernel_value + w2.kernel_value
+    return ReducedForm.from_character(stage2), Witness(total, kernel_value)
 
 
 def verify_witness(chi: Character, psi: Character, u) -> WitnessCheck:

@@ -50,6 +50,9 @@ class _Value:
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
     def _ident(self):
         return tuple(getattr(self, name) for name in self.__slots__)
 

@@ -110,6 +110,13 @@ def test_validate_type_table():
             require_valid_type(p, l, m)
 
 
+def test_char_type_is_a_named_pair():
+    ct = require_valid_type(3, 2.0, 7)
+    assert repr(ct) == "CharType(l=2, m=7)"
+    assert ct == (2, 7) and hash(ct) == hash((2, 7))
+    assert (ct.l, ct.m) == (2, 7) and type(ct.l) is int
+
+
 def test_break_sequence_examples():
     assert break_sequence(parse_character_literal("5:1,15:2", 2)) == (5, 15)
     assert break_sequence(parse_character_literal("2:1,7:3", 3)) == (2, 7)
@@ -386,6 +393,13 @@ def test_reduced_form_validation():
         ReducedForm(3, 2, 7, 1, {4: 1, 5: 0, 7: 1})  # 4 is not in the window
     with pytest.raises(ValueError):
         ReducedForm(3, 2, 5, 1, {})  # invalid type
+    # p | m: the top index m is not in the window, so every digit may be 0
+    assert ReducedForm(3, 2, 6, 1, {4: 0, 5: 0}).b == {4: 0, 5: 0}
+    assert ReducedForm(2, 3, 6, 1, {}).b == {3: 0, 5: 0}
+    with pytest.raises(ValueError):
+        ReducedForm(3, 2, 6, 1, {4: 0, 5: 3})  # digit out of 0..p-1
+    with pytest.raises(ValueError):
+        ReducedForm(3, 2, 6, 1, {4: 0, 5: 0, 6: 1})  # 6 is not coprime to p
 
 
 def test_reduced_form_character_roundtrip():
@@ -405,12 +419,54 @@ def test_from_character_rejects_non_reduced():
         ReducedForm.from_character(parse_character_literal("5:1,7:2,15:2", 2))
 
 
+def support_reduced_form(chi):
+    """The support-based reading of a reduced character, as an oracle for
+    `ReducedForm.from_character`: support inside {l} union the window,
+    and no p-digit at l unless l lies in the window."""
+    p = chi.prime.p
+    l, m = break_sequence(chi)
+    win = window_indices(p, l, m)
+    x_l = chi.value(l) % p
+    if set(chi.support) - set(win) - {l}:
+        raise ValueError("support outside {l} union window")
+    if l not in win and chi.value(l) != x_l:
+        raise ValueError("p-digit at the unit index must vanish")
+    b = {j: (chi.value(j) - (x_l if j == l else 0)) // p for j in win}
+    return ReducedForm(chi.prime, l, m, x_l, b)
+
+
+FROM_CHARACTER_TYPES = [(2, 3, 6), (2, 3, 7), (2, 5, 10), (2, 1, 2), (2, 1, 3),
+                        (3, 1, 3), (3, 1, 4), (3, 2, 6), (3, 2, 7),
+                        (5, 1, 5), (5, 1, 6)]
+
+
+@pytest.mark.parametrize("p, l, m", FROM_CHARACTER_TYPES)
+def test_from_character_matches_support_oracle(p, l, m):
+    # every character of the type: the same form or a ValueError from
+    # both, and is_reduced agrees
+    reduced = 0
+    for chi in enumerate_characters(p, l, m):
+        try:
+            want = support_reduced_form(chi)
+        except ValueError:
+            want = None
+        try:
+            got = ReducedForm.from_character(chi)
+        except ValueError:
+            got = None
+        assert got == want, format_character_literal(chi)
+        assert is_reduced(chi) == (want is not None)
+        reduced += want is not None
+    # one character per reduced form, the rest refused
+    assert reduced == sum(1 for _ in enumerate_reduced_forms(p, l, m))
+
+
 @pytest.mark.parametrize("p, l, m", [(2, 3, 6), (2, 5, 10), (3, 1, 4), (3, 2, 7)])
 def test_window_values_are_p_multiples_off_the_unit_digit(p, l, m):
-    # l is the largest index with a unit value, so from_character needs no
-    # check that a window value is a p-multiple: at every window index
-    # other than l the value is one, and at l (m = 2l over F_2) it is one
-    # once the unit digit is taken off
+    # l is the largest index with a unit value, so standard_expansion needs
+    # no check for a unit digit above l: at every window index other than l
+    # the value is a p-multiple, and at l (m = 2l over F_2) it is one once
+    # the unit digit is taken off
     for chi in enumerate_characters(p, l, m):
         for j in window_indices(p, l, m):
             v = chi.value(j) - (chi.value(l) % p if j == l else 0)

@@ -435,6 +435,8 @@ def test_returned_records_are_values(name):
     assert type(value).__name__ == name and twin is not value
     with pytest.raises(AttributeError):
         setattr(value, slot, getattr(twin, slot))
+    with pytest.raises(AttributeError):
+        delattr(value, slot)
     assert value == twin and hash(value) == hash(twin)
     for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                   copy.deepcopy(value)):

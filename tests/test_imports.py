@@ -11,7 +11,7 @@ dead library code.  A helper that only tests need belongs in `tests/`.
 
 A third scan, also of `src/`, keeps the value rules of the library's
 records in one place: no class but `series._Value` defines
-`__setattr__`, `__eq__` or `__hash__`.
+`__setattr__`, `__delattr__`, `__eq__` or `__hash__`.
 """
 
 import ast
@@ -116,7 +116,7 @@ def test_no_dead_private_helpers():
     assert dead_private_helpers(sources) == []
 
 
-VALUE_RULES = ("__setattr__", "__eq__", "__hash__")
+VALUE_RULES = ("__setattr__", "__delattr__", "__eq__", "__hash__")
 
 
 def restated_value_rules(source):

@@ -411,6 +411,9 @@ def test_lazy_stages_match_eager_oracle():
         form, w = reduce(chi)
         total = nott_compose(w2.element, w1.element)
         assert form == ReducedForm.from_character(s2), case
+        # reduce adds the stages' kernel values instead of evaluating chi
+        # on its witness; the sum is that evaluation mod p^2
+        assert w.kernel_value == char_eval(chi, w.element.unit), case
         expected = Witness(total, char_eval(chi, total.unit))
         assert (w.to_text(), w.kernel_value) == (
             expected.to_text(),
