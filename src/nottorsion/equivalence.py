@@ -291,25 +291,9 @@ class ClassReport(_Value):
         }
 
 
-def _find(parent, i):
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
-def _union(parent, i, j):
-    """Link j's set under i's root; False when the two are already one."""
-    ri, rj = _find(parent, i), _find(parent, j)
-    if ri == rj:
-        return False
-    parent[rj] = ri
-    return True
-
-
 def _join_reduced_forms(prime, l, m, strict):
-    """Join the reduced forms of <l, m> into classes by union-find;
-    strict turns the kernel test on.
+    """Join the reduced forms of <l, m> into classes; strict turns the
+    kernel test on.
 
     A depth-first walk over the unit digits a_1 .. a_(m-1), each ascending,
     reaches the candidate elements in lexicographic order and evaluates
@@ -333,26 +317,27 @@ def _join_reduced_forms(prime, l, m, strict):
     j*a_d*weight.  Each expanded node computes that sibling's row once,
     with one power of z, and its children only add the shift.
 
-    A subtree is pruned when its prefix fails the kernel test, when no
-    (source, target) pair is left, or when every pair left is already
-    joined: components only grow, so no leaf below can add a union.  The
-    leaves that remain union their pairs in source order, as a flat scan
-    of every candidate would.  Returns (forms, parent, witnesses), the
-    forms in enumeration order and the witnesses as (source, target,
-    element) triples, one per union, in that order.
+    label[i] is the class of form i; a union relabels the target's class
+    with the source's label.  Each node drops the pairs whose forms share
+    a label, since components only grow, and a subtree is pruned when its
+    prefix fails the kernel test or no pair is left.  The leaves union
+    their pairs in source order, as a flat scan of every candidate would.
+    Returns (forms, label, witnesses), the forms in enumeration order and
+    the witnesses as (source, target, element) triples, one per union, in
+    that order.
     """
     p, psq = prime.p, prime.psq
     forms = list(enumerate_reduced_forms(prime, l, m))
     coeffs = [f.to_character().coeffs for f in forms]
     n = len(forms)
-    parent = list(range(n))
+    label = list(range(n))
     witnesses = []
     weight = [_basis_value(c, m, p, psq) for c in coeffs]
 
     # depth-first over prefixes z = [1, a_1, ..., a_d]; live[i] lists the
-    # targets still matching source i, and base[i] is source i's acted
-    # value at j = m - d for the sibling with a_d = 0, or base is None
-    # when p | j.  An explicit stack keeps deep types clear of the
+    # targets still matching source i in another class, and base[i] is
+    # source i's acted value at j = m - d for the sibling with a_d = 0, or
+    # base is None when p | j.  An explicit stack keeps deep types clear of the
     # recursion limit; children are pushed in reverse so the walk pops
     # them with a_(d+1) ascending.  The root's row is E_m = 1 + t^m
     # itself, so its acted values are the weights.
@@ -361,19 +346,21 @@ def _join_reduced_forms(prime, l, m, strict):
         z, live, base = stack.pop()
         d = len(z) - 1
         j = m - d
-        if base is not None:
-            step = j * z[d] if d else 0
-            kept = []
-            for i, ks in enumerate(live):
-                if ks:
+        step = j * z[d] if d else 0
+        kept = []
+        for i, ks in enumerate(live):
+            if ks:
+                x = label[i]
+                if base is None:
+                    ks = tuple(k for k in ks if label[k] != x)
+                else:
                     v = (base[i] + step * weight[i]) % psq
-                    ks = tuple(k for k in ks if coeffs[k].get(j, 0) == v)
-                kept.append(ks)
-            live = kept
+                    ks = tuple(k for k in ks if label[k] != x and coeffs[k].get(j, 0) == v)
+            kept.append(ks)
+        live = kept
         if strict and d == l and _kernel_root(z, p, l):
             continue
-        if all(_find(parent, i) == _find(parent, k)
-               for i, ks in enumerate(live) for k in ks):
+        if not any(live):
             continue
         if d < m - 1:
             shared = None
@@ -385,12 +372,14 @@ def _join_reduced_forms(prime, l, m, strict):
             continue
         for i, ks in enumerate(live):
             # every coprime j is compared, so at most one target is left
-            if ks and _union(parent, i, ks[0]):
+            if ks and label[ks[0]] != label[i]:
+                old = label[ks[0]]
+                label = [label[i] if x == old else x for x in label]
                 elt = NottinghamElement.from_unit_coeffs(prime, [*z[1:], 0])
                 witnesses.append((i, ks[0], elt))
         if len(witnesses) == n - 1:
             break
-    return forms, parent, witnesses
+    return forms, label, witnesses
 
 
 def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassReport:
@@ -406,10 +395,10 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
     p = prime.p
     require_valid_type(prime, l, m)
     require_budget(p, m, budget)
-    forms, parent, witnesses = _join_reduced_forms(prime, l, m, strict=True)
+    forms, label, witnesses = _join_reduced_forms(prime, l, m, strict=True)
     groups = {}
-    for i in range(len(forms)):
-        groups.setdefault(_find(parent, i), []).append(i)
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
     classes = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
     runtime_ms = int((time.perf_counter() - started) * 1000)
     return ClassReport(

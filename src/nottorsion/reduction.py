@@ -34,11 +34,12 @@ value reads only strip digits at degrees <= l, so each step moves the
 layer by the step's own action rows to depth l, paired mod p, and the
 kernel part of f is the layer paired with the step's decomposition to
 depth l.  Stage two reads two values per step, at q and at l + j, each
-from one power of acc and one action row; until its first step, and for
-the top value p b_m, it reads chi's own values in closed form, with
-chi(E_v) = p * c_(v/p) or 0 at a p-multiple v.  Steps and acc are raw
-unit lists; each stage ends with a single `char_act` of its acc, none
-when no step ran, and its postcondition checks that character.
+from one power of acc and one action row; while acc is the identity,
+and for the top value p b_m, it reads chi's own values in closed form,
+with chi(E_v) = p * c_(v/p) or 0 at a p-multiple v.  Steps and acc are
+raw unit lists.  `reduce` runs stage two's steps on from stage one's acc
+and acts once, not at all when no step ran; the form is that action of
+its witness, so only the kernel and the form's reducedness need a check.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .series import (
     _pow_raw,
     _Value,
     format_nottingham_product,
-    nott_compose,
 )
 
 
@@ -165,15 +165,11 @@ def _act_once(chi, acc, m):
     return cur, _kernel_witness(chi, element)
 
 
-def reduce_mod_p(chi: Character):
-    """Stage one: clear every unit digit below l.
-
-    Returns (character, witness); the output character agrees with chi at
-    and above l mod p and has zero unit digits below l.
-    """
+def _clear_units(chi, l, m):
+    """Stage one's steps on chi of type <l, m>: the raw accumulated unit
+    that clears every unit digit below l, or None when no step ran."""
     prime = chi.prime
     p, psq = prime.p, prime.psq
-    l, m = break_sequence(chi)
     # the unit layer: the current values mod p at the coprime k <= l
     x = {k: chi.value(k) % p for k in range(1, l + 1) if k % p}
     x_l = x[l]
@@ -189,25 +185,15 @@ def reduce_mod_p(chi: Character):
         s = _mul_raw(step, _basis_power(l, f, p, m), p, m)
         x = {k: _pairing(row.items(), x, p) for k, row in _action_rows(s, p, psq, l)}
         acc = s if acc is None else _compose_raw(s, acc, p, m)
-    cur, witness = _act_once(chi, acc, m)
-    for i in range(1, l):
-        if i % p and cur.value(i) % p:
-            raise RuntimeError("stage one left a unit digit at %d" % i)
-    return cur, witness
+    return acc
 
 
-def clear_low_p_part(chi: Character):
-    """Stage two: clear the p-digits below the window [m-l, m].
-
-    Requires stage-one form (no unit digits below l).  Returns
-    (character, witness) with the output reduced.
-    """
+def _clear_p_part(chi, l, m, acc):
+    """Stage two's steps on chi acted on by acc (no unit digits below l),
+    composed onto acc; x_l and b_m are read from chi, as the action keeps
+    both."""
     prime = chi.prime
     p = prime.p
-    l, m = break_sequence(chi)
-    for i in range(1, l):
-        if i % p and chi.value(i) % p:
-            raise ValueError("expects stage-one form: unit digit at %d" % i)
     x_l = chi.value(l) % p
     top = _basis_value(chi.coeffs, m, p, prime.psq)
     if top % p:
@@ -215,7 +201,6 @@ def clear_low_p_part(chi: Character):
     b_m = (top // p) % p
     if b_m == 0:
         raise RuntimeError("top digit vanished; type bookkeeping is broken")
-    acc = None
     for j in range(1, m - l):
         q = m - l - j
         if q % p == 0:
@@ -231,7 +216,36 @@ def clear_low_p_part(chi: Character):
         e = (-d * beta * pow(b_m, -1, p)) % p
         u_j = _mul_raw(_basis_power(l + j, d, p, m), _basis_power(m, e, p, m), p, m)
         acc = u_j if acc is None else _compose_raw(u_j, acc, p, m)
-    cur, witness = _act_once(chi, acc, m)
+    return acc
+
+
+def reduce_mod_p(chi: Character):
+    """Stage one: clear every unit digit below l.
+
+    Returns (character, witness); the output character agrees with chi at
+    and above l mod p and has zero unit digits below l.
+    """
+    p = chi.prime.p
+    l, m = break_sequence(chi)
+    cur, witness = _act_once(chi, _clear_units(chi, l, m), m)
+    for i in range(1, l):
+        if i % p and cur.value(i) % p:
+            raise RuntimeError("stage one left a unit digit at %d" % i)
+    return cur, witness
+
+
+def clear_low_p_part(chi: Character):
+    """Stage two: clear the p-digits below the window [m-l, m].
+
+    Requires stage-one form (no unit digits below l).  Returns
+    (character, witness) with the output reduced.
+    """
+    p = chi.prime.p
+    l, m = break_sequence(chi)
+    for i in range(1, l):
+        if i % p and chi.value(i) % p:
+            raise ValueError("expects stage-one form: unit digit at %d" % i)
+    cur, witness = _act_once(chi, _clear_p_part(chi, l, m, None), m)
     if not is_reduced(cur):
         raise RuntimeError("stage two did not reach a reduced character")
     return cur, witness
@@ -240,20 +254,16 @@ def clear_low_p_part(chi: Character):
 def reduce(chi: Character):
     """Full reduction: returns (ReducedForm, total witness).
 
-    The witness u satisfies char_act(u, chi) equal to the reduced
-    character and chi(u(t)/t) = 0 mod p; both are rechecked before
-    returning.
+    The total witness u runs both stages' steps, and the form is
+    char_act(u, chi); before returning, the form is checked to be reduced
+    and chi(u(t)/t) to vanish mod p.
     """
-    stage1, w1 = reduce_mod_p(chi)
-    stage2, w2 = clear_low_p_part(stage1)
-    total = nott_compose(w2.element, w1.element)
-    check = verify_witness(chi, stage2, total)
-    if not check:
-        raise RuntimeError("reduction produced a bad witness: %s" % check.reason)
-    # with u_i = t * z_i, total = u2 o u1 has unit part z1 * (z2 o u1), and
-    # chi of that is chi(z1) + (chi acted on by u1)(z2)
-    kernel_value = w1.kernel_value + w2.kernel_value
-    return ReducedForm.from_character(stage2), Witness(total, kernel_value)
+    l, m = break_sequence(chi)
+    cur, witness = _act_once(chi, _clear_p_part(chi, l, m, _clear_units(chi, l, m)), m)
+    try:
+        return ReducedForm.from_character(cur), witness
+    except ValueError as exc:
+        raise RuntimeError("reduction did not reach a reduced form: %s" % exc) from exc
 
 
 def verify_witness(chi: Character, psi: Character, u) -> WitnessCheck:

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from nottorsion import reduction
+from nottorsion import cli, reduction
 from nottorsion.characters import (
     Character,
     ReducedForm,
@@ -411,8 +411,8 @@ def test_lazy_stages_match_eager_oracle():
         form, w = reduce(chi)
         total = nott_compose(w2.element, w1.element)
         assert form == ReducedForm.from_character(s2), case
-        # reduce adds the stages' kernel values instead of evaluating chi
-        # on its witness; the sum is that evaluation mod p^2
+        # reduce acts once with the composite of both stages' steps and
+        # evaluates chi on it once
         assert w.kernel_value == char_eval(chi, w.element.unit), case
         expected = Witness(total, char_eval(chi, total.unit))
         assert (w.to_text(), w.kernel_value) == (
@@ -471,19 +471,50 @@ def test_reduce_internal_fault_raises_runtime_error(monkeypatch):
         reduce(parse_character_literal("1:1,2:1,7:3", 3))
 
 
+def test_reduce_stage_two_fault_raises_runtime_error(monkeypatch, capsys):
+    # a stage-two step without its factor (1+t^(l+j))^d clears nothing,
+    # so the form reduce reaches is not reduced: the library's fault,
+    # RuntimeError and exit 1, not the ValueError of a bad input
+    text = "1:1,2:3,4:3"  # type <1,4> over F_3: stage two steps at l+j = 2
+    chi = parse_character_literal(text, 3)
+    steps = []
+    eager_clear_low_p_part(chi, steps)
+    assert steps == [(2, 2)]
+    basis_power = reduction._basis_power
+    monkeypatch.setattr(
+        reduction,
+        "_basis_power",
+        lambda k, e, p, n: basis_power(k, 0 if 1 < k < 4 else e, p, n),
+    )
+    with pytest.raises(RuntimeError, match="did not reach a reduced"):
+        reduce(chi)
+    assert cli.main(["reduce", "--p", "3", "--char", text]) == 1
+    assert "verification failure" in capsys.readouterr().err
+
+
 def test_each_stage_acts_at_most_once(monkeypatch):
     calls = []
+    evals = []
 
     def counting_char_act(u, chi):
         calls.append(chi)
         return char_act(u, chi)
 
-    monkeypatch.setattr(reduction, "char_act", counting_char_act)
+    def counting_char_eval(chi, unit):
+        evals.append(chi)
+        return char_eval(chi, unit)
 
-    # a reduced character: neither stage takes a step, so neither acts
+    monkeypatch.setattr(reduction, "char_act", counting_char_act)
+    monkeypatch.setattr(reduction, "char_eval", counting_char_eval)
+
+    # a reduced character: neither stage takes a step, so neither acts,
+    # and reduce only evaluates the kernel of the identity
     chi = parse_character_literal("5:1,15:2", 2)
     assert reduce_mod_p(chi)[0] == chi and calls == []
     assert clear_low_p_part(chi)[0] == chi and calls == []
+    del evals[:]
+    assert reduce(chi)[0].to_character() == chi
+    assert calls == [] and len(evals) == 1
 
     rng = random.Random(1202)
     many1 = many2 = False
@@ -499,6 +530,11 @@ def test_each_stage_acts_at_most_once(monkeypatch):
             del calls[:]
             clear_low_p_part(s1)
             assert len(calls) == min(len(steps2), 1)
+            # reduce runs both stages' steps into one element and acts once
+            del calls[:], evals[:]
+            reduce(chi)
+            assert len(calls) == min(len(steps1) + len(steps2), 1)
+            assert len(evals) == 1
             many1 |= len(steps1) > 1
             many2 |= len(steps2) > 1
     # per-step actions would have shown up as several calls
