@@ -43,7 +43,8 @@ print("after stage two :", format_character_literal(stage2))
 print("stage-two witness:", w2.to_text())
 assert is_reduced(stage2)
 
-# the one-call version runs both stages' steps into one element and acts once
+# the one-call version runs both stages' steps into one element and reads
+# the form from the values its steps recorded, without acting
 form, w = reduce(chi)
 psi = form.to_character()
 print()

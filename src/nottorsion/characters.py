@@ -38,6 +38,7 @@ from .series import (
     _decompose_raw,
     _frobenius,
     _mul_raw,
+    _strip_run,
     _Value,
     as_prime,
 )
@@ -296,9 +297,8 @@ def char_eval(chi: Character, f: UnitSeries) -> int:
         raise ValueError(
             "evaluation needs precision >= %d, have %d" % (bound, f.precision)
         )
-    prime = chi.prime
-    exps = _decompose_raw(f._raw(), prime.p, prime.psq, bound)
-    return _pairing(exps.items(), chi.coeffs, prime.psq)
+    p, psq = chi.prime.p, chi.prime.psq
+    return _value(f._raw(), _weights(chi.coeffs, p, psq, bound), p, psq, bound)
 
 
 def _basis_value(coeffs, v, p, psq):
@@ -324,26 +324,53 @@ def _pairing(pairs, coeffs, psq):
     return total % psq
 
 
+def _weights(coeffs, p, psq, m):
+    """[chi(E_k) for k = 0 .. m] (0 at k = 0), from `_basis_value`."""
+    return [_basis_value(coeffs, k, p, psq) for k in range(m + 1)]
+
+
+def _value(f, weights, p, psq, m):
+    """chi(f) mod psq for a raw unit f through degree m, with weights[k] =
+    chi(E_k): f is the product of (1+t^k)^c over its strip run."""
+    return sum([c * weights[k] for k, c in _strip_run(f, p, m)]) % psq
+
+
+def _row(j, zj):
+    """E_j o u = 1 + t^j z^j as a raw unit, from zj = z^j."""
+    return [1, *[0] * (j - 1), *zj]
+
+
 def _action_row(j, zj, p, psq, m):
     """`_decompose_raw` exponents of E_j o u = 1 + t^j z^j to depth m.
 
     zj is z^j, the j-th power of the raw unit part of u, through degree
-    m - j; so the row reads only the unit digits a_1 .. a_(m-j) of u.
+    m - j, so the row reads only the unit digits a_1 .. a_(m-j) of u; or
+    None, where the row is E_j itself (see `_action_rows`).
     """
-    return _decompose_raw([1, *[0] * (j - 1), *zj], p, psq, m)
+    if zj is None:
+        return {j: 1}
+    return _decompose_raw(_row(j, zj), p, psq, m)
 
 
-def _action_rows(z, p, psq, m):
-    """Decompositions of E_j o u = 1 + t^j z^j at the coprime j <= m.
+def _row_value(j, zj, weights, p, psq, m):
+    """chi(E_j o u) mod psq, with zj as in `_action_row` and weights as
+    in `_value`."""
+    if zj is None:
+        return weights[j]
+    return _value(_row(j, zj), weights, p, psq, m)
+
+
+def _action_rows(z, p, m):
+    """The powers of z behind the rows E_j o u = 1 + t^j z^j, j coprime
+    to p, j <= m.
 
     z is the raw unit part of u, read through degree m - 1.  Lazily
-    yields (j, exps) in ascending j, with exps the `_action_row` of j;
-    the value of the acted character at j is then the `_pairing` of exps
-    with chi.  A consumer that stops early skips the powers of z and the
-    decompositions it did not need.
+    yields (j, zj) in ascending j, zj = z^j through degree m - j, for
+    `_action_row` or `_row_value`; a consumer that stops early skips the
+    powers it did not need.
 
     With z = 1 mod t^r, t^j z^j = t^j mod t^(j+r), so every row with
-    j + r > m is E_j itself, {j: 1}, and needs neither z^j nor a strip.
+    j + r > m is E_j itself and comes with zj None, without a power.
     Below that, z^j for p | j is the re-indexing z^(j/p)(t^p) over F_p,
     and each other z^j takes one product.
     """
@@ -352,10 +379,10 @@ def _action_rows(z, p, psq, m):
     for j in range(1, (m if m % p else m - 1) + 1):
         if j + r > m:
             if j % p:
-                yield j, {j: 1}
+                yield j, None
         elif j % p:
             powers.append(_mul_raw(powers[-1], z, p, m - j))
-            yield j, _action_row(j, powers[-1], p, psq, m)
+            yield j, powers[-1]
         else:
             powers.append(_frobenius(powers[j // p], p, m - j))
 
@@ -369,14 +396,12 @@ def char_act(u: NottinghamElement, chi: Character) -> Character:
         raise ValueError(
             "action needs element precision >= %d, have %d" % (bound, u.precision)
         )
-    prime = chi.prime
-    psq = prime.psq
-    coeffs = {}
-    for j, exps in _action_rows(u.unit._raw(), prime.p, psq, bound):
-        value = _pairing(exps.items(), chi.coeffs, psq)
-        if value:
-            coeffs[j] = value
-    return Character(prime, coeffs)
+    p, psq = chi.prime.p, chi.prime.psq
+    weights = _weights(chi.coeffs, p, psq, bound)
+    return Character(chi.prime, {
+        j: _row_value(j, zj, weights, p, psq, bound)
+        for j, zj in _action_rows(u.unit._raw(), p, bound)
+    })
 
 
 def scalar_mul(n: int, chi: Character) -> Character:

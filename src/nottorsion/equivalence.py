@@ -137,8 +137,9 @@ class _ActionScanner:
     def matches(self, z, src_coeffs, tgt_coeffs):
         """True when the candidate maps src to tgt at every coprime index;
         stops at the first index where it does not."""
-        psq = self.psq
-        for j, exps in _action_rows(z, self.p, psq, self.m):
+        p, psq, m = self.p, self.psq, self.m
+        for j, zj in _action_rows(z, p, m):
+            exps = _action_row(j, zj, p, psq, m)
             if _pairing(exps.items(), src_coeffs, psq) != tgt_coeffs.get(j, 0):
                 return False
         return True
@@ -149,9 +150,10 @@ class _ActionScanner:
         The action is linear in the character values, so one matrix per
         candidate evaluates the action on any number of sources.
         """
+        p, psq, m = self.p, self.psq, self.m
         return [
-            tuple(exps.items())
-            for _, exps in _action_rows(z, self.p, self.psq, self.m)
+            tuple(_action_row(j, zj, p, psq, m).items())
+            for j, zj in _action_rows(z, p, m)
         ]
 
     def apply_matrix(self, rows, coeffs):

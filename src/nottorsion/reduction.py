@@ -27,19 +27,25 @@ to the kernel value, so the accumulated witness always satisfies
 chi(u(t)/t) = 0 mod p.
 
 Both stages are lazy.  The character reached after steps with composite
-acc takes the value chi(E_v o acc) at v (the action is contravariant),
-so a step computes only the values its digit choices read.  Stage one
-tracks the unit layer, the values mod p at the coprime k <= l: such a
-value reads only strip digits at degrees <= l, so each step moves the
-layer by the step's own action rows to depth l, paired mod p, and the
-kernel part of f is the layer paired with the step's decomposition to
-depth l.  Stage two reads two values per step, at q and at l + j, each
-from one power of acc and one action row; while acc is the identity,
-and for the top value p b_m, it reads chi's own values in closed form,
-with chi(E_v) = p * c_(v/p) or 0 at a p-multiple v.  Steps and acc are
-raw unit lists.  `reduce` runs stage two's steps on from stage one's acc
-and acts once, not at all when no step ran; the form is that action of
-its witness, so only the kernel and the form's reducedness need a check.
+acc takes the value chi(E_v o acc) at v (the action is contravariant):
+the strip digits of the row E_v o acc weighed by chi(E_k).  A step
+computes only the values it reads.  Stage one tracks the unit layer,
+the values mod p at the coprime k <= l, which read only strip digits at
+degrees <= l; each step moves the layer by its own action rows to depth
+l.  Steps and acc are raw unit lists.
+
+Stage two evaluates each row of its final acc once.  A step at q moves
+acc first at degree m - q, by d, so the rows above q keep their values,
+and the row at q moves only its last strip digit, at degree m, by q*d;
+chi(E_m) is a multiple of p, so the value at q becomes the value read
+plus q*d*chi(E_m), and no later step moves it.  The window [m-l, m],
+which no step moves, comes from one chain of powers of stage one's acc;
+each q reads one power of acc, and a read at l + j above q takes the
+recorded value.  `reduce` builds its form from these values and never
+acts on chi.  Each step checks that it moved acc that way;
+`ReducedForm.from_character` checks the form and `_kernel_witness` the
+kernel.  While acc is the identity the values are chi's own, in closed
+form (`characters._basis_value`).
 """
 
 from __future__ import annotations
@@ -47,10 +53,10 @@ from __future__ import annotations
 from .characters import (
     Character,
     ReducedForm,
-    _action_row,
     _action_rows,
-    _basis_value,
-    _pairing,
+    _row_value,
+    _value,
+    _weights,
     break_sequence,
     char_act,
     char_eval,
@@ -61,7 +67,6 @@ from .series import (
     UnitSeries,
     _basis_power,
     _compose_raw,
-    _decompose_raw,
     _mul_raw,
     _pow_raw,
     _Value,
@@ -121,18 +126,11 @@ class WitnessCheck(_Value):
         return "WitnessCheck(ok=%r, reason=%r)" % (self.ok, self.reason)
 
 
-def _acted_value(chi, z, v, m):
-    """chi(E_v o u) for u = t*z, the value at v of chi acted on by u.
-
-    z is the raw unit part of u through degree m, or None for the
-    identity, where the value is chi's own; m is chi's bound.
-    """
-    prime = chi.prime
-    p, psq = prime.p, prime.psq
-    if z is None:
-        return _basis_value(chi.coeffs, v, p, psq)
-    zv = _pow_raw(z, v, p, m - v)
-    return _pairing(_action_row(v, zv, p, psq, m).items(), chi.coeffs, psq)
+def _acted_value(weights, z, v, p, psq, m):
+    """chi(E_v o u) for u = t*z through degree m, or chi(E_v) when z is
+    None; weights as in `characters._value`."""
+    zv = None if z is None else _pow_raw(z, v, p, m - v)
+    return _row_value(v, zv, weights, p, psq, m)
 
 
 def _kernel_witness(chi, element):
@@ -149,27 +147,26 @@ def _kernel_witness(chi, element):
     return Witness(element, kernel_value)
 
 
-def _act_once(chi, acc, m):
-    """chi acted on by the accumulated raw unit acc, and its witness.
-
-    acc None means that no step ran: chi comes back unchanged, certified
-    by the identity at precision m.
-    """
-    prime = chi.prime
+def _element(prime, acc, m):
+    """The group element t*acc of the raw unit acc, or the identity at
+    precision m when acc is None (no step ran)."""
     if acc is None:
-        element = NottinghamElement.identity(prime, m)
-        cur = chi
-    else:
-        element = NottinghamElement(prime, UnitSeries._from_raw(prime, acc))
-        cur = char_act(element, chi)
+        return NottinghamElement.identity(prime, m)
+    return NottinghamElement(prime, UnitSeries._from_raw(prime, acc))
+
+
+def _act_once(chi, acc, m):
+    """chi acted on by the accumulated raw unit acc, and its witness; acc
+    None leaves chi unchanged."""
+    element = _element(chi.prime, acc, m)
+    cur = chi if acc is None else char_act(element, chi)
     return cur, _kernel_witness(chi, element)
 
 
 def _clear_units(chi, l, m):
     """Stage one's steps on chi of type <l, m>: the raw accumulated unit
     that clears every unit digit below l, or None when no step ran."""
-    prime = chi.prime
-    p, psq = prime.p, prime.psq
+    p = chi.prime.p
     # the unit layer: the current values mod p at the coprime k <= l
     x = {k: chi.value(k) % p for k in range(1, l + 1) if k % p}
     x_l = x[l]
@@ -180,43 +177,58 @@ def _clear_units(chi, l, m):
         c = (-x[i] * pow(i * x_l % p, -1, p)) % p
         step = [1] + [0] * m
         step[l - i] = c
-        kernel_part = _pairing(_decompose_raw(step, p, psq, l).items(), x, p)
-        f = (-kernel_part * pow(x_l, -1, p)) % p
+        layer = _weights(x, p, p, l)  # mod p
+        f = (-_value(step, layer, p, p, l) * pow(x_l, -1, p)) % p
         s = _mul_raw(step, _basis_power(l, f, p, m), p, m)
-        x = {k: _pairing(row.items(), x, p) for k, row in _action_rows(s, p, psq, l)}
+        x = {k: _row_value(k, zk, layer, p, p, l) for k, zk in _action_rows(s, p, l)}
         acc = s if acc is None else _compose_raw(s, acc, p, m)
     return acc
 
 
 def _clear_p_part(chi, l, m, acc):
-    """Stage two's steps on chi acted on by acc (no unit digits below l),
-    composed onto acc; x_l and b_m are read from chi, as the action keeps
-    both."""
+    """Stage two's steps on chi acted on by acc (no unit digits below l)
+    composed onto acc, and the values at every v <= m of chi acted on by
+    the result.  x_l and b_m are read from chi, as the action keeps both."""
     prime = chi.prime
-    p = prime.p
+    p, psq = prime.p, prime.psq
+    weights = _weights(chi.coeffs, p, psq, m)
     x_l = chi.value(l) % p
-    top = _basis_value(chi.coeffs, m, p, prime.psq)
+    top = weights[m]
     if top % p:
         raise RuntimeError("top value %d is a unit" % top)
     b_m = (top // p) % p
     if b_m == 0:
         raise RuntimeError("top digit vanished; type bookkeeping is broken")
+    # the window [m-l, m], which no step moves, along one chain of powers
+    values = {}
+    zv = None if acc is None else _pow_raw(acc, m - l - 1, p, l + 1)
+    for v in range(m - l, m + 1):
+        if zv is not None:
+            zv = _mul_raw(zv, acc, p, m - v)
+        values[v] = _row_value(v, zv, weights, p, psq, m)
     for j in range(1, m - l):
         q = m - l - j
         if q % p == 0:
             continue
-        cq = _acted_value(chi, acc, q, m)
+        cq = values[q] = _acted_value(weights, acc, q, p, psq, m)
         a_q = ((cq - x_l) // p) % p if q == l else (cq // p) % p
         if q != l and cq % p:
             raise RuntimeError("unit digit appeared at %d during stage two" % q)
         if a_q == 0:
             continue
         d = (-a_q * pow(q * b_m % p, -1, p)) % p
-        beta = (_acted_value(chi, acc, l + j, m) // p) % p
-        e = (-d * beta * pow(b_m, -1, p)) % p
-        u_j = _mul_raw(_basis_power(l + j, d, p, m), _basis_power(m, e, p, m), p, m)
+        v = l + j
+        # values above q are final
+        cv = values[v] if v in values else _acted_value(weights, acc, v, p, psq, m)
+        e = (-d * (cv // p) * pow(b_m, -1, p)) % p
+        u_j = _mul_raw(_basis_power(v, d, p, m), _basis_power(m, e, p, m), p, m)
+        # the module docstring's argument needs acc moved first at v, by d
+        old = [1] + [0] * m if acc is None else acc
         acc = u_j if acc is None else _compose_raw(u_j, acc, p, m)
-    return acc
+        if acc[:v] != old[:v] or (acc[v] - old[v] - d) % p:
+            raise RuntimeError("stage two did not reach a reduced form at %d" % q)
+        values[q] = (cq + q * d * top) % psq
+    return acc, values
 
 
 def reduce_mod_p(chi: Character):
@@ -245,7 +257,7 @@ def clear_low_p_part(chi: Character):
     for i in range(1, l):
         if i % p and chi.value(i) % p:
             raise ValueError("expects stage-one form: unit digit at %d" % i)
-    cur, witness = _act_once(chi, _clear_p_part(chi, l, m, None), m)
+    cur, witness = _act_once(chi, _clear_p_part(chi, l, m, None)[0], m)
     if not is_reduced(cur):
         raise RuntimeError("stage two did not reach a reduced character")
     return cur, witness
@@ -254,14 +266,18 @@ def clear_low_p_part(chi: Character):
 def reduce(chi: Character):
     """Full reduction: returns (ReducedForm, total witness).
 
-    The total witness u runs both stages' steps, and the form is
-    char_act(u, chi); before returning, the form is checked to be reduced
-    and chi(u(t)/t) to vanish mod p.
+    The total witness u runs both stages' steps, and the form is chi
+    acted on by u, read from the values stage two recorded; before
+    returning, the form is checked to be reduced and chi(u(t)/t) to
+    vanish mod p.
     """
+    p = chi.prime.p
     l, m = break_sequence(chi)
-    cur, witness = _act_once(chi, _clear_p_part(chi, l, m, _clear_units(chi, l, m)), m)
+    acc, values = _clear_p_part(chi, l, m, _clear_units(chi, l, m))
+    witness = _kernel_witness(chi, _element(chi.prime, acc, m))
+    form = Character(chi.prime, {v: c for v, c in values.items() if v % p})
     try:
-        return ReducedForm.from_character(cur), witness
+        return ReducedForm.from_character(form), witness
     except ValueError as exc:
         raise RuntimeError("reduction did not reach a reduced form: %s" % exc) from exc
 

@@ -237,19 +237,20 @@ def _strip_run(f, p, n):
     """Greedy run of the unit f over the units 1+t^k, k = 1..n.
 
     Scans degrees 1..n; at each nonzero residual coefficient c at degree
-    k it yields (k, c), then divides the residual by the binomial
+    k it records (k, c), then divides the residual by the binomial
     (1+t^k)^c in place, so f = prod (1+t^k)^c mod t^(n+1) over the
-    yielded pairs.  Only f[0..n] is read and f is never mutated; f[0]
-    must be 1.  A consumer may stop early, which skips the strips it does
-    not need.
+    returned list of pairs.  Only f[0..n] is read and f is never mutated;
+    f[0] must be 1.
     """
     tables = _strip_tables(p, n)
     r = list(f[: n + 1])
-    for k in range(1, n + 1):
+    run = []
+    half = n // 2
+    for k in range(1, half + 1):
         cv = r[k]
         if not cv:
             continue
-        yield k, cv
+        run.append((k, cv))
         tab = tables[(k, cv)]
         # ascending division: the quotient at d is r[d] less the row times
         # the quotient at d - i*k, which is already in place.  The residual
@@ -263,6 +264,10 @@ def _strip_run(f, p, n):
                     break
                 acc -= w * r[d - dk]
             r[d] = acc % p
+    # a division at k > n/2 starts beyond n, so above n/2 the residual's
+    # coefficients are the run's digits
+    run += [(k, cv) for k, cv in enumerate(r[half + 1 :], half + 1) if cv]
+    return run
 
 
 def _decompose_raw(f, p, psq, m):

@@ -15,7 +15,14 @@ from array import array
 import pytest
 
 from nottorsion import series
-from nottorsion.characters import _action_rows
+from nottorsion.characters import (
+    _action_row,
+    _action_rows,
+    _pairing,
+    _row_value,
+    _value,
+    _weights,
+)
 from nottorsion.series import (
     _FIELD_CODES,
     _decompose_raw,
@@ -229,31 +236,63 @@ def test_strip_and_decompose_match_inverse_strip():
         n = random_precision(rng)
         f = random_series(rng, p, random_length(rng, n), unit=True)
         f += [0] * (n + 1 - len(f))
-        assert list(_strip_run(f, p, n)) == inverse_strip_run(f, p, n), (p, n, f)
+        assert _strip_run(f, p, n) == inverse_strip_run(f, p, n), (p, n, f)
         if n:
             assert _decompose_raw(f, p, p * p, n) == oracle_decompose(f, p, n)
 
 
-def test_strip_run_stops_early_without_mutating():
+def test_strip_run_returns_digits_without_mutating():
     f = [1, 1, 2, 0, 1, 2, 2]
-    run = _strip_run(f, 3, 6)
-    assert next(run) == (1, 1)
+    assert _strip_run(f, 3, 6) == [(1, 1), (2, 2), (3, 1), (4, 2), (6, 2)]
     assert f == [1, 1, 2, 0, 1, 2, 2]
+
+
+def unit_with_valuation(rng, p, m, r):
+    """A raw unit z through degree m - 1 with z = 1 mod t^r exactly, or
+    the identity at r = m."""
+    z = [1] + [0] * (r - 1)
+    if r < m:
+        z += [rng.randrange(1, p)]
+        z += [rng.randrange(p) for _ in range(m - 1 - r)]
+    else:
+        z += [0] * (m - r)
+    return z
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_action_rows_match_full_rows(p):
     # z = 1 mod t^r exactly, for every valuation r = 1..m-1 and the
-    # identity: the rows with j + r > m come back as {j: 1} without a
-    # power or a strip, and must agree with fully computed rows
+    # identity: the rows with j + r > m come back without a power, as
+    # {j: 1} once decomposed, and must agree with fully computed rows
     rng = random.Random(15 + p)
     psq = p * p
     for m in rng.sample(range(2, 31), 6):
         for r in range(1, m + 1):
-            z = [1] + [0] * (r - 1)
-            if r < m:
-                z += [rng.randrange(1, p)]
-                z += [rng.randrange(p) for _ in range(m - 1 - r)]
-            else:
-                z += [0] * (m - r)
-            assert list(_action_rows(z, p, psq, m)) == oracle_rows(z, p, m), (m, r, z)
+            z = unit_with_valuation(rng, p, m, r)
+            powers = list(_action_rows(z, p, m))
+            assert all((zj is None) == (j + r > m) for j, zj in powers), (m, r, z)
+            rows = [(j, _action_row(j, zj, p, psq, m)) for j, zj in powers]
+            assert rows == oracle_rows(z, p, m), (m, r, z)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_values_match_pairing_of_decomposition(p):
+    # the value kernel weighs strip digits by chi(E_k); the slow path
+    # decomposes onto the E_j and pairs the exponents with chi.  Rows
+    # come from every valuation r, so the rows with j + r > m, which
+    # carry no power, are covered too
+    rng = random.Random(16 + p)
+    psq = p * p
+    for m in rng.sample(range(2, 31), 6):
+        coeffs = {k: rng.randrange(psq) for k in range(1, m + 1) if k % p}
+        weights = _weights(coeffs, p, psq, m)
+        for _ in range(20):
+            f = random_series(rng, p, m + 1, unit=True)
+            slow = _pairing(_decompose_raw(f, p, psq, m).items(), coeffs, psq)
+            assert _value(f, weights, p, psq, m) == slow, (m, f)
+        for r in range(1, m + 1):
+            z = unit_with_valuation(rng, p, m, r)
+            for j, zj in _action_rows(z, p, m):
+                row = [1] + [0] * (j - 1) + square_multiply_pow(z, j, p, m - j)
+                slow = _pairing(_decompose_raw(row, p, psq, m).items(), coeffs, psq)
+                assert _row_value(j, zj, weights, p, psq, m) == slow, (m, r, j, z)

@@ -3,9 +3,10 @@
 The small worked cases were frozen after solving the digit congruences
 by hand and replaying them through the series layer; every frozen
 witness is re-verified here rather than trusted.  The library's stages
-read only the values each step needs and act on the character once; the
-eager stages below act on the whole character at every step and serve as
-their differential oracle.
+read only the values each step needs and act on the character once, and
+`reduce` reads its form from the values stage two recorded without
+acting; the eager stages below act on the whole character at every step
+and serve as their differential oracle.
 """
 
 import random
@@ -458,6 +459,64 @@ def test_stage2_never_moves_the_window():
     assert moved > len(_differential_types()) // 2
 
 
+def test_reduce_form_is_the_action_of_its_witness():
+    # reduce reads its form from the values stage two recorded, never from
+    # an action; the slow path acts on chi with the returned witness
+    rng = random.Random(1204)
+    seen = set()
+    for p, l, m in _differential_types():
+        chi = _typed_character(rng, p, l, m)
+        form, w = reduce(chi)
+        case = (p, l, m, format_character_literal(chi))
+        assert form == ReducedForm.from_character(char_act(w.element, chi)), case
+        steps = []
+        eager_clear_low_p_part(eager_reduce_mod_p(chi)[0], steps)
+        if p == 7 and steps:
+            seen.add("p = 7")
+        if m == p * l and steps:
+            seen.add("m = pl")
+        if m == 2 * l and steps:
+            seen.add("m = 2l")
+        if any(q == l for q, _ in steps):
+            seen.add("read at q = l")
+        if any(q < v < m - l for q, v in steps):
+            seen.add("recorded read at l + j")
+        if any(v < q for q, v in steps):
+            seen.add("fresh read at l + j")
+    assert seen == {
+        "p = 7",
+        "m = pl",
+        "m = 2l",
+        "read at q = l",
+        "recorded read at l + j",
+        "fresh read at l + j",
+    }
+
+
+def test_reduce_digit_check_catches_a_dropped_term(monkeypatch, capsys):
+    # a stage-two composition that drops the leading term of its step
+    # leaves acc where the recorded values no longer describe it; the
+    # per-step digit check refuses, RuntimeError and exit 1
+    text = "1:1,2:3,4:6,5:3,7:3"  # type <1,7> over F_3: two stage-two steps
+    chi = parse_character_literal(text, 3)
+    steps1, steps2 = [], []
+    eager_clear_low_p_part(eager_reduce_mod_p(chi, steps1)[0], steps2)
+    assert steps1 == [] and steps2 == [(5, 2), (4, 3)]
+    compose = reduction._compose_raw
+
+    def dropped(zu, zv, p, n):
+        out = compose(zu, zv, p, n)
+        k = next(k for k in range(n + 1) if out[k] != zv[k])
+        out[k] = zv[k]
+        return out
+
+    monkeypatch.setattr(reduction, "_compose_raw", dropped)
+    with pytest.raises(RuntimeError, match="stage two did not reach a reduced form at 4"):
+        reduce(chi)
+    assert cli.main(["reduce", "--p", "3", "--char", text]) == 1
+    assert "did not reach a reduced form" in capsys.readouterr().err
+
+
 def test_reduce_internal_fault_raises_runtime_error(monkeypatch):
     # a stage-one step without its factor (1+t^l)^f leaves the kernel;
     # that is the library's fault, not the caller's, so RuntimeError
@@ -493,6 +552,7 @@ def test_reduce_stage_two_fault_raises_runtime_error(monkeypatch, capsys):
 
 
 def test_each_stage_acts_at_most_once(monkeypatch):
+    # each stage acts at most once; reduce not at all
     calls = []
     evals = []
 
@@ -530,10 +590,11 @@ def test_each_stage_acts_at_most_once(monkeypatch):
             del calls[:]
             clear_low_p_part(s1)
             assert len(calls) == min(len(steps2), 1)
-            # reduce runs both stages' steps into one element and acts once
+            # reduce runs both stages' steps into one element, reads its
+            # form from the values stage two recorded and never acts
             del calls[:], evals[:]
             reduce(chi)
-            assert len(calls) == min(len(steps1) + len(steps2), 1)
+            assert calls == []
             assert len(evals) == 1
             many1 |= len(steps1) > 1
             many2 |= len(steps2) > 1
