@@ -329,10 +329,15 @@ def _weights(coeffs, p, psq, m):
     return [_basis_value(coeffs, k, p, psq) for k in range(m + 1)]
 
 
+def _weigh(run, weights, psq):
+    """sum(c * weights[k]) mod psq over a strip run's (k, c) pairs."""
+    return sum([c * weights[k] for k, c in run]) % psq
+
+
 def _value(f, weights, p, psq, m):
     """chi(f) mod psq for a raw unit f through degree m, with weights[k] =
     chi(E_k): f is the product of (1+t^k)^c over its strip run."""
-    return sum([c * weights[k] for k, c in _strip_run(f, p, m)]) % psq
+    return _weigh(_strip_run(f, p, m), weights, psq)
 
 
 def _row(j, zj):
@@ -371,18 +376,19 @@ def _action_rows(z, p, m):
 
     With z = 1 mod t^r, t^j z^j = t^j mod t^(j+r), so every row with
     j + r > m is E_j itself and comes with zj None, without a power.
-    Below that, z^j for p | j is the re-indexing z^(j/p)(t^p) over F_p,
-    and each other z^j takes one product.
+    Below that, z^1 is a copy of z, z^j for p | j is the re-indexing
+    z^(j/p)(t^p) over F_p, and each other z^j takes one product.
     """
     r = next((k for k, c in enumerate(z[1:m], 1) if c), m)
-    powers = [[1]]  # powers[i] is z^i through degree m - i
+    powers = [[1], [*z[:m], *[0] * (m - len(z))]]  # z^i through degree m - i
     for j in range(1, (m if m % p else m - 1) + 1):
         if j + r > m:
             if j % p:
                 yield j, None
         elif j % p:
-            powers.append(_mul_raw(powers[-1], z, p, m - j))
-            yield j, powers[-1]
+            if j > 1:
+                powers.append(_mul_raw(powers[-1], z, p, m - j))
+            yield j, powers[j]
         else:
             powers.append(_frobenius(powers[j // p], p, m - j))
 

@@ -10,7 +10,8 @@ a miss is a proof of non-equivalence, subject only to the cost budget.
 The action of u on a character of bound m reads only the unit
 coefficients a_1 .. a_(m-1) of u, and the kernel condition mod p reads
 only a_1 .. a_l.  The strict and weak searches scan F_p^(m-1) with a
-kernel test on each length-l prefix.  The class counts walk the same
+kernel test on each length-l prefix, evaluating rows straight to values
+up to the first wrong one.  The class counts walk the same
 candidates as a prefix tree, depth-first and in the same order: the
 acted value at j reads only a_1 .. a_(m-j), so the walk compares values
 as soon as their digits are fixed, and it prunes a prefix that can join
@@ -36,8 +37,12 @@ from .characters import (
     Character,
     _action_row,
     _action_rows,
-    _basis_value,
     _pairing,
+    _row,
+    _row_value,
+    _value,
+    _weigh,
+    _weights,
     break_sequence,
     enumerate_reduced_forms,
     format_character_literal,
@@ -107,10 +112,7 @@ def _kernel_root(z_head, p, l):
     this value times the unit digit x_l; the kernel condition mod p is
     its vanishing.  Only z[0..l] is read.
     """
-    for k, c in _strip_run(z_head, p, l):
-        if k == l:
-            return c
-    return 0
+    return _value(z_head, [0] * l + [1], p, p, l)
 
 
 def _kernel_value_modp(z_head, p, l, xdig):
@@ -119,7 +121,7 @@ def _kernel_value_modp(z_head, p, l, xdig):
     xdig[k] is c_k mod p (zero at indices divisible by p); values at
     indices above l are p-multiples and invisible mod p.
     """
-    return sum(c * xdig[k] for k, c in _strip_run(z_head, p, l)) % p
+    return _value(z_head, xdig, p, p, l)
 
 
 class _ActionScanner:
@@ -134,13 +136,12 @@ class _ActionScanner:
         self.psq = prime.psq
         self.m = m
 
-    def matches(self, z, src_coeffs, tgt_coeffs):
-        """True when the candidate maps src to tgt at every coprime index;
-        stops at the first index where it does not."""
+    def matches(self, z, weights, tgt_coeffs):
+        """True when the candidate maps the source of `weights` to tgt at
+        every coprime index; stops at the first index where it does not."""
         p, psq, m = self.p, self.psq, self.m
         for j, zj in _action_rows(z, p, m):
-            exps = _action_row(j, zj, p, psq, m)
-            if _pairing(exps.items(), src_coeffs, psq) != tgt_coeffs.get(j, 0):
+            if _row_value(j, zj, weights, p, psq, m) != tgt_coeffs.get(j, 0):
                 return False
         return True
 
@@ -182,7 +183,7 @@ def _flat_scan(chi, psi, budget, strict):
     head = l if strict else 0
     xdig = [chi.value(k) % p if k % p else 0 for k in range(l + 1)]
     scanner = _ActionScanner(chi.prime, m)
-    src, tgt = chi.coeffs, psi.coeffs
+    src, tgt = _weights(chi.coeffs, p, chi.prime.psq, m), psi.coeffs
     for prefix in itertools.product(range(p), repeat=head):
         if strict and _kernel_value_modp([1, *prefix], p, l, xdig):
             continue
@@ -317,7 +318,8 @@ def _join_reduced_forms(prime, l, m, strict):
     (`_basis_value`).  So the wrap of the digit mod p is invisible mod
     p^2, and the child's acted value is its a_d = 0 sibling's plus
     j*a_d*weight.  Each expanded node computes that sibling's row once,
-    with one power of z, and its children only add the shift.
+    with one power of z, strips it once and weighs the run per live
+    source, and its children only add the shift.
 
     label[i] is the class of form i; a union relabels the target's class
     with the source's label.  Each node drops the pairs whose forms share
@@ -334,16 +336,15 @@ def _join_reduced_forms(prime, l, m, strict):
     n = len(forms)
     label = list(range(n))
     witnesses = []
-    weight = [_basis_value(c, m, p, psq) for c in coeffs]
+    weights = [_weights(c, p, psq, m) for c in coeffs]
 
     # depth-first over prefixes z = [1, a_1, ..., a_d]; live[i] lists the
     # targets still matching source i in another class, and base[i] is
     # source i's acted value at j = m - d for the sibling with a_d = 0, or
     # base is None when p | j.  An explicit stack keeps deep types clear of the
     # recursion limit; children are pushed in reverse so the walk pops
-    # them with a_(d+1) ascending.  The root's row is E_m = 1 + t^m
-    # itself, so its acted values are the weights.
-    stack = [([1], [tuple(range(n))] * n, weight if m % p else None)]
+    # them with a_(d+1) ascending.  The root's row is E_m itself.
+    stack = [([1], [tuple(range(n))] * n, [w[m] for w in weights] if m % p else None)]
     while stack:
         z, live, base = stack.pop()
         d = len(z) - 1
@@ -356,7 +357,7 @@ def _join_reduced_forms(prime, l, m, strict):
                 if base is None:
                     ks = tuple(k for k in ks if label[k] != x)
                 else:
-                    v = (base[i] + step * weight[i]) % psq
+                    v = (base[i] + step * weights[i][m]) % psq
                     ks = tuple(k for k in ks if label[k] != x and coeffs[k].get(j, 0) == v)
             kept.append(ks)
         live = kept
@@ -367,8 +368,8 @@ def _join_reduced_forms(prime, l, m, strict):
         if d < m - 1:
             shared = None
             if (j - 1) % p:
-                row = _action_row(j - 1, _pow_raw(z, j - 1, p, d + 1), p, psq, m)
-                shared = [_pairing(row.items(), coeffs[i], psq) if ks else 0
+                run = _strip_run(_row(j - 1, _pow_raw(z, j - 1, p, d + 1)), p, m)
+                shared = [_weigh(run, weights[i], psq) if ks else 0
                           for i, ks in enumerate(live)]
             stack.extend(([*z, a], live, shared) for a in reversed(range(p)))
             continue

@@ -41,11 +41,11 @@ chi(E_m) is a multiple of p, so the value at q becomes the value read
 plus q*d*chi(E_m), and no later step moves it.  The window [m-l, m],
 which no step moves, comes from one chain of powers of stage one's acc;
 each q reads one power of acc, and a read at l + j above q takes the
-recorded value.  `reduce` builds its form from these values and never
-acts on chi.  Each step checks that it moved acc that way;
-`ReducedForm.from_character` checks the form and `_kernel_witness` the
-kernel.  While acc is the identity the values are chi's own, in closed
-form (`characters._basis_value`).
+recorded value.  Stage two builds its character from these values and
+never acts on chi.  Each step checks that it moved acc that way; the
+form's own check and `_kernel_witness` close the stage.  While acc is
+the identity the values are chi's own, in closed form
+(`characters._basis_value`).
 """
 
 from __future__ import annotations
@@ -155,14 +155,6 @@ def _element(prime, acc, m):
     return NottinghamElement(prime, UnitSeries._from_raw(prime, acc))
 
 
-def _act_once(chi, acc, m):
-    """chi acted on by the accumulated raw unit acc, and its witness; acc
-    None leaves chi unchanged."""
-    element = _element(chi.prime, acc, m)
-    cur = chi if acc is None else char_act(element, chi)
-    return cur, _kernel_witness(chi, element)
-
-
 def _clear_units(chi, l, m):
     """Stage one's steps on chi of type <l, m>: the raw accumulated unit
     that clears every unit digit below l, or None when no step ran."""
@@ -187,8 +179,8 @@ def _clear_units(chi, l, m):
 
 def _clear_p_part(chi, l, m, acc):
     """Stage two's steps on chi acted on by acc (no unit digits below l)
-    composed onto acc, and the values at every v <= m of chi acted on by
-    the result.  x_l and b_m are read from chi, as the action keeps both."""
+    composed onto acc, as an element, and chi acted on by it, from its
+    values.  x_l and b_m are read from chi, as the action keeps both."""
     prime = chi.prime
     p, psq = prime.p, prime.psq
     weights = _weights(chi.coeffs, p, psq, m)
@@ -228,7 +220,8 @@ def _clear_p_part(chi, l, m, acc):
         if acc[:v] != old[:v] or (acc[v] - old[v] - d) % p:
             raise RuntimeError("stage two did not reach a reduced form at %d" % q)
         values[q] = (cq + q * d * top) % psq
-    return acc, values
+    acted = Character(prime, {v: c for v, c in values.items() if v % p})
+    return _element(prime, acc, m), acted
 
 
 def reduce_mod_p(chi: Character):
@@ -239,11 +232,13 @@ def reduce_mod_p(chi: Character):
     """
     p = chi.prime.p
     l, m = break_sequence(chi)
-    cur, witness = _act_once(chi, _clear_units(chi, l, m), m)
+    acc = _clear_units(chi, l, m)
+    element = _element(chi.prime, acc, m)
+    cur = chi if acc is None else char_act(element, chi)
     for i in range(1, l):
         if i % p and cur.value(i) % p:
             raise RuntimeError("stage one left a unit digit at %d" % i)
-    return cur, witness
+    return cur, _kernel_witness(chi, element)
 
 
 def clear_low_p_part(chi: Character):
@@ -257,25 +252,22 @@ def clear_low_p_part(chi: Character):
     for i in range(1, l):
         if i % p and chi.value(i) % p:
             raise ValueError("expects stage-one form: unit digit at %d" % i)
-    cur, witness = _act_once(chi, _clear_p_part(chi, l, m, None)[0], m)
+    element, cur = _clear_p_part(chi, l, m, None)
     if not is_reduced(cur):
         raise RuntimeError("stage two did not reach a reduced character")
-    return cur, witness
+    return cur, _kernel_witness(chi, element)
 
 
 def reduce(chi: Character):
     """Full reduction: returns (ReducedForm, total witness).
 
     The total witness u runs both stages' steps, and the form is chi
-    acted on by u, read from the values stage two recorded; before
-    returning, the form is checked to be reduced and chi(u(t)/t) to
-    vanish mod p.
+    acted on by u, from stage two's values; before returning, the form
+    is checked to be reduced and chi(u(t)/t) to vanish mod p.
     """
-    p = chi.prime.p
     l, m = break_sequence(chi)
-    acc, values = _clear_p_part(chi, l, m, _clear_units(chi, l, m))
-    witness = _kernel_witness(chi, _element(chi.prime, acc, m))
-    form = Character(chi.prime, {v: c for v, c in values.items() if v % p})
+    element, form = _clear_p_part(chi, l, m, _clear_units(chi, l, m))
+    witness = _kernel_witness(chi, element)
     try:
         return ReducedForm.from_character(form), witness
     except ValueError as exc:

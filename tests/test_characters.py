@@ -15,6 +15,7 @@ from nottorsion.characters import (
     CharType,
     ReducedForm,
     _basis_value,
+    _weights,
     break_sequence,
     char_act,
     char_eval,
@@ -292,7 +293,8 @@ def test_act_matches_eval():
             assert tuple(acted.value(j) for j in cop) == direct
             z = u.unit._raw()
             assert scanner.apply_matrix(scanner.action_matrix(z), chi.coeffs) == direct
-            assert scanner.matches(z, chi.coeffs, acted.coeffs)
+            weights = _weights(chi.coeffs, p, psq, n)
+            assert scanner.matches(z, weights, acted.coeffs)
 
 
 def test_act_is_contravariant_composition():

@@ -27,6 +27,7 @@ from nottorsion.characters import (
     char_eval,
     enumerate_characters,
     enumerate_reduced_forms,
+    is_reduced,
     parse_character_literal,
     scalar_mul,
     standard_expansion,
@@ -60,6 +61,8 @@ from nottorsion.series import (
     as_prime,
     format_nottingham_product,
     nott_compose,
+    unit_decompose,
+    unit_subst,
 )
 
 
@@ -199,6 +202,74 @@ def test_searches_ignore_top_coefficient():
     u2 = NottinghamElement(chi.prime, UnitSeries(2, bumped))
     assert char_act(u2, chi) == psi
     assert char_eval(chi, u2.unit) % 2 == w.kernel_value % 2
+
+
+def lex_scan_witnesses(p, l, m, sources, targets):
+    """Oracle: {(s, t): (element, kernel value)} for strict and {(s, t):
+    element} for weak, the first candidate t*(1 + a_1 t + ... +
+    a_(m-1) t^(m-1)) in lex order mapping sources[s] to targets[t].
+
+    Each candidate's rows E_j o u come once per type from the public
+    substitution and decomposition, paired with each source; the kernel
+    value chi(u(t)/t) is the pairing of u's own decomposition.  It
+    shares the strip division with the searches, but neither their power
+    loop (`_action_rows`) nor their value kernel (`_row_value`)."""
+    prime = as_prime(p)
+    psq = prime.psq
+    index = {psi: t for t, psi in enumerate(targets)}
+    strict, weak = {}, {}
+    for digits in itertools.product(range(p), repeat=m - 1):
+        u = NottinghamElement.from_unit_coeffs(prime, [*digits, 0])
+        rows = [
+            (j, unit_decompose(unit_subst(UnitSeries.basis(p, j, m), u), m).exps)
+            for j in range(1, m + 1)
+            if j % p
+        ]
+        kernel = unit_decompose(u.unit, m).exps
+        for s, chi in enumerate(sources):
+            def pair(exps):
+                return sum(e * chi.value(k) for k, e in exps.items()) % psq
+
+            t = index.get(Character(prime, {j: pair(exps) for j, exps in rows}))
+            if t is not None:
+                weak.setdefault((s, t), u)
+                if pair(kernel) % p == 0:
+                    strict.setdefault((s, t), (u, pair(kernel)))
+    return strict, weak
+
+
+@pytest.mark.parametrize(
+    "p, l, m, want",
+    [(2, 3, 6, (10, 14, 0)), (2, 3, 7, (3, 0, 5)), (2, 5, 10, (36, 44, 0)),
+     (3, 1, 4, (3, 0, 21)), (3, 2, 6, (3, 42, 315))],
+)
+def test_searches_return_lex_smallest_witnesses(p, l, m, want):
+    # every ordered pair of distinct reduced forms, and three sources that
+    # are not reduced (unit digits below l where l > 1), against each
+    # form: both searches must return exactly the first hit of the oracle
+    # scan, and a strict witness must carry the oracle's kernel value.
+    # want counts the pairs joined strictly, weakly only, and not at all
+    forms = [f.to_character() for f in enumerate_reduced_forms(p, l, m)]
+    rng = random.Random(100 * p + m)
+    stray = [chi for chi in enumerate_characters(p, l, m) if not is_reduced(chi)]
+    sources = forms + rng.sample(stray, 3)
+    strict, weak = lex_scan_witnesses(p, l, m, sources, forms)
+    seen = {"strict": 0, "weak only": 0, "miss": 0}
+    for s, chi in enumerate(sources):
+        for t, psi in enumerate(forms):
+            if chi == psi:
+                continue
+            case = (s, t, str(chi), str(psi))
+            w = strict_equiv_search(chi, psi)
+            got = None if w is None else (w.element, w.kernel_value)
+            assert got == strict.get((s, t)), case
+            assert weak_equiv_search(chi, psi) == weak.get((s, t)), case
+            kind = "strict" if w else "weak only" if (s, t) in weak else "miss"
+            seen[kind] += 1
+    assert (seen["strict"], seen["weak only"], seen["miss"]) == want
+    # a source with stray digits reaches its own reduced form
+    assert all(any((s, t) in strict for t in range(len(forms)))
+               for s in range(len(forms), len(sources)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ dead library code.  A helper that only tests need belongs in `tests/`.
 A third scan, also of `src/`, keeps the value rules of the library's
 records in one place: no class but `series._Value` defines
 `__setattr__`, `__delattr__`, `__eq__` or `__hash__`.
+
+A fourth scan, of `src/`, keeps the decompose-then-pair path off the
+hot paths, which evaluate rows straight to values: `_decompose_raw` is
+named only inside `unit_decompose` and `_action_row`, and `_pairing`
+only inside `_ActionScanner.apply_matrix`.
 """
 
 import ast
@@ -159,4 +164,73 @@ def test_no_unused_imports():
         for path in sorted((ROOT / top).rglob("*.py")):
             for line, name in unused_imports(path.read_text()):
                 found.append("%s:%d %s" % (path.relative_to(ROOT), line, name))
+    assert found == []
+
+
+# kernel -> the only `src/` functions (qualified names) that may name it
+CONFINED = {
+    "_decompose_raw": {"unit_decompose", "_action_row"},
+    "_pairing": {"_ActionScanner.apply_matrix"},
+}
+
+
+def confined_uses(source, confined=CONFINED):
+    """(line, scope, name) of each use in `source` of a name in `confined`
+    outside the functions allowed to use it.  A use is any load of the
+    name or of an attribute of that name, called or not; scope is the
+    dotted name of the enclosing classes and functions, or "<module>".
+    Imports and the definition itself are not uses."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            else:
+                name = None
+            where = ".".join(scope) or "<module>"
+            if name in confined and where not in confined[name]:
+                found.append((child.lineno, where, name))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_confined_use_scan_on_literal_source():
+    source = (
+        "from series import _decompose_raw\n"
+        "def _pairing(pairs):\n"
+        "    pass\n"
+        "def unit_decompose(f):\n"
+        "    return _decompose_raw(f)\n"
+        "class _ActionScanner:\n"
+        "    def apply_matrix(self, rows):\n"
+        "        return [_pairing(r) for r in rows]\n"
+        "    def matches(self, z):\n"
+        "        return series._decompose_raw(z)\n"
+        "def _flat_scan(rows):\n"
+        "    pair = _pairing\n"
+        "    def inner(row):\n"
+        "        return pair(row)\n"
+        "    return inner\n"
+        "TABLE = (_pairing,)\n"
+    )
+    assert confined_uses(source) == [
+        (10, "_ActionScanner.matches", "_decompose_raw"),
+        (12, "_flat_scan", "_pairing"),
+        (16, "<module>", "_pairing"),
+    ]
+
+
+def test_decompose_and_pair_stay_off_the_hot_paths():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, where, name in confined_uses(path.read_text()):
+            found.append("%s:%d %s uses %s" % (path.relative_to(ROOT), line, where, name))
     assert found == []

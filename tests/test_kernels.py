@@ -263,16 +263,24 @@ def unit_with_valuation(rng, p, m, r):
 def test_action_rows_match_full_rows(p):
     # z = 1 mod t^r exactly, for every valuation r = 1..m-1 and the
     # identity: the rows with j + r > m come back without a power, as
-    # {j: 1} once decomposed, and must agree with fully computed rows
+    # {j: 1} once decomposed, and must agree with fully computed rows.
+    # z^1 takes no product: it is z through degree m - 1, in a list of
+    # its own, so consuming the rows leaves z as it was
     rng = random.Random(15 + p)
     psq = p * p
     for m in rng.sample(range(2, 31), 6):
         for r in range(1, m + 1):
             z = unit_with_valuation(rng, p, m, r)
+            before = list(z)
             powers = list(_action_rows(z, p, m))
             assert all((zj is None) == (j + r > m) for j, zj in powers), (m, r, z)
+            if r < m:
+                j, z1 = powers[0]
+                assert j == 1 and z1 is not z, (m, r, z)
+                assert len(z1) == m and z1 == _mul_raw([1], z, p, m - 1), (m, r, z)
             rows = [(j, _action_row(j, zj, p, psq, m)) for j, zj in powers]
             assert rows == oracle_rows(z, p, m), (m, r, z)
+            assert z == before, (m, r)
 
 
 @pytest.mark.parametrize("p", PRIMES)
