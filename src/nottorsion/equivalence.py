@@ -303,10 +303,10 @@ def _join_reduced_forms(prime, l, m, strict):
     the action on every form at once; two forms land in one class exactly
     when some chain of witnessed moves connects them.  Row j of the action
     reads only a_1 .. a_(m-j), so at depth d the walk compares the acted
-    values at the coprime j = m - d, and keeps, for each source form, the
-    target forms that agree with it at every j compared so far.  Reduced
-    forms have no unit digits below l, so one kernel test covers every
-    source; it reads only a_1 .. a_l and runs once at depth l.
+    values at the coprime j = m - d, and keeps the (source, target) pairs
+    of forms that agree at every j compared so far.  Reduced forms have
+    no unit digits below l, so one kernel test covers every source; it
+    reads only a_1 .. a_l and runs once at depth l.
 
     The p children of a node share one row.  With z' the prefix of a
     child at depth d and j = m - d, z^j = z'^j + j*a_d*t^d mod t^(d+1), so
@@ -318,8 +318,8 @@ def _join_reduced_forms(prime, l, m, strict):
     (`_basis_value`).  So the wrap of the digit mod p is invisible mod
     p^2, and the child's acted value is its a_d = 0 sibling's plus
     j*a_d*weight.  Each expanded node computes that sibling's row once,
-    with one power of z, strips it once and weighs the run per live
-    source, and its children only add the shift.
+    with one power of z, strips it once and weighs the run once per
+    source in a live pair, and its children only add the shift.
 
     label[i] is the class of form i; a union relabels the target's class
     with the source's label.  Each node drops the pairs whose forms share
@@ -338,48 +338,44 @@ def _join_reduced_forms(prime, l, m, strict):
     witnesses = []
     weights = [_weights(c, p, psq, m) for c in coeffs]
 
-    # depth-first over prefixes z = [1, a_1, ..., a_d]; live[i] lists the
-    # targets still matching source i in another class, and base[i] is
-    # source i's acted value at j = m - d for the sibling with a_d = 0, or
-    # base is None when p | j.  An explicit stack keeps deep types clear of the
-    # recursion limit; children are pushed in reverse so the walk pops
-    # them with a_(d+1) ascending.  The root's row is E_m itself.
-    stack = [([1], [tuple(range(n))] * n, [w[m] for w in weights] if m % p else None)]
+    # depth-first over prefixes z = [1, a_1, ..., a_d]; live holds the
+    # sorted (source, target) pairs still matching in different classes,
+    # and base maps each live source to its acted value at j = m - d for
+    # the sibling with a_d = 0, or is None when p | j.  An explicit stack
+    # keeps deep types clear of the recursion limit; children are pushed
+    # in reverse so the walk pops them with a_(d+1) ascending.  The root's
+    # row is E_m itself.
+    stack = [([1], itertools.product(range(n), repeat=2),
+              {i: w[m] for i, w in enumerate(weights)} if m % p else None)]
     while stack:
         z, live, base = stack.pop()
         d = len(z) - 1
         j = m - d
-        step = j * z[d] if d else 0
-        kept = []
-        for i, ks in enumerate(live):
-            if ks:
-                x = label[i]
-                if base is None:
-                    ks = tuple(k for k in ks if label[k] != x)
-                else:
-                    v = (base[i] + step * weights[i][m]) % psq
-                    ks = tuple(k for k in ks if label[k] != x and coeffs[k].get(j, 0) == v)
-            kept.append(ks)
-        live = kept
         if strict and d == l and _kernel_root(z, p, l):
             continue
-        if not any(live):
+        if base is None:
+            live = tuple((i, k) for i, k in live if label[i] != label[k])
+        else:
+            step = j * z[d] if d else 0
+            want = {i: (v + step * weights[i][m]) % psq for i, v in base.items()}
+            live = tuple((i, k) for i, k in live
+                         if label[i] != label[k] and coeffs[k].get(j, 0) == want[i])
+        if not live:
             continue
         if d < m - 1:
             shared = None
             if (j - 1) % p:
                 run = _strip_run(_row(j - 1, _pow_raw(z, j - 1, p, d + 1)), p, m)
-                shared = [_weigh(run, weights[i], psq) if ks else 0
-                          for i, ks in enumerate(live)]
+                shared = {i: _weigh(run, weights[i], psq) for i in {i for i, _ in live}}
             stack.extend(([*z, a], live, shared) for a in reversed(range(p)))
             continue
-        for i, ks in enumerate(live):
-            # every coprime j is compared, so at most one target is left
-            if ks and label[ks[0]] != label[i]:
-                old = label[ks[0]]
+        # every coprime j is compared, so each source has at most one target left
+        for i, k in live:
+            if label[i] != label[k]:
+                old = label[k]
                 label = [label[i] if x == old else x for x in label]
                 elt = NottinghamElement.from_unit_coeffs(prime, [*z[1:], 0])
-                witnesses.append((i, ks[0], elt))
+                witnesses.append((i, k, elt))
         if len(witnesses) == n - 1:
             break
     return forms, label, witnesses

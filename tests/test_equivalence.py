@@ -353,11 +353,12 @@ def test_partition_report_structure():
     assert rep.runtime_ms >= 0
 
 
-def naive_partition(p, l, m):
+def naive_partition(p, l, m, strict=True):
     """Oracle: union the reduced forms of <l, m> over every candidate
     (a_1 .. a_(m-1), 0) in lex order, testing each source's kernel value
-    with char_eval, acting with char_act, and recording the first union
-    of each pair of classes.  Returns (classes, witnesses as text)."""
+    with char_eval when strict, acting with char_act, and recording the
+    first union of each pair of classes.  Returns (classes, witnesses as
+    text)."""
     forms = list(enumerate_reduced_forms(p, l, m))
     chars = [f.to_character() for f in forms]
     index = {chi: i for i, chi in enumerate(chars)}
@@ -368,7 +369,7 @@ def naive_partition(p, l, m):
             break
         u = NottinghamElement(chars[0].prime, UnitSeries(p, [*body, 0]))
         for i, chi in enumerate(chars):
-            if char_eval(chi, u.unit) % p:
+            if strict and char_eval(chi, u.unit) % p:
                 continue
             hit = index.get(char_act(u, chi))
             if hit is None or label[hit] == label[i]:
@@ -398,6 +399,18 @@ def test_partition_visit_order_matches_naive_scan(p, l, m):
     assert [
         (i, j, format_nottingham_product(elt)) for i, j, elt in rep.witnesses
     ] == witnesses
+    # the weak walk against the scan without the kernel test; its
+    # witnesses move the forms, and only the kernel may fail
+    forms, label, found = _join_reduced_forms(as_prime(p), l, m, strict=False)
+    classes, witnesses = naive_partition(p, l, m, strict=False)
+    groups = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    assert sorted(tuple(g) for g in groups.values()) == classes
+    assert [(i, j, format_nottingham_product(elt)) for i, j, elt in found] == witnesses
+    for i, j, elt in found:
+        check = verify_witness(forms[i].to_character(), forms[j].to_character(), elt)
+        assert check.reason in ("ok", "kernel-violation")
 
 
 @pytest.mark.parametrize(
@@ -430,8 +443,8 @@ def test_shared_row_matches_per_child_row(p, l, m):
 
 
 def test_partition_shares_rows_across_siblings(monkeypatch):
-    # one power of z per expanded node: a row per visited node would
-    # take 2,209 powers at <5,17> over F_2
+    # one power of z per expanded node: a row per child would take 2,208
+    # powers at <5,17> over F_2 in the strict walk and 4,378 in the weak
     calls = []
     real = equivalence._pow_raw
 
@@ -442,6 +455,9 @@ def test_partition_shares_rows_across_siblings(monkeypatch):
     monkeypatch.setattr(equivalence, "_pow_raw", counted)
     partition_reduced_forms(2, 5, 17)
     assert len(calls) <= 1105
+    calls.clear()
+    assert weak_class_count(2, 5, 17) == 2
+    assert len(calls) <= 2189
 
 
 @pytest.mark.parametrize(
