@@ -303,10 +303,10 @@ def _join_reduced_forms(prime, l, m, strict):
     the action on every form at once; two forms land in one class exactly
     when some chain of witnessed moves connects them.  Row j of the action
     reads only a_1 .. a_(m-j), so at depth d the walk compares the acted
-    values at the coprime j = m - d, and keeps the (source, target) pairs
-    of forms that agree at every j compared so far.  Reduced forms have
-    no unit digits below l, so one kernel test covers every source; it
-    reads only a_1 .. a_l and runs once at depth l.
+    values at the coprime j = m - d, and keeps for each source the bitmask
+    of targets that agree with it at every j compared so far.  Reduced
+    forms have no unit digits below l, so one kernel test covers every
+    source; it reads only a_1 .. a_l and runs once at depth l.
 
     The p children of a node share one row.  With z' the prefix of a
     child at depth d and j = m - d, z^j = z'^j + j*a_d*t^d mod t^(d+1), so
@@ -318,34 +318,34 @@ def _join_reduced_forms(prime, l, m, strict):
     (`_basis_value`).  So the wrap of the digit mod p is invisible mod
     p^2, and the child's acted value is its a_d = 0 sibling's plus
     j*a_d*weight.  Each expanded node computes that sibling's row once,
-    with one power of z, strips it once and weighs the run once per
-    source in a live pair, and its children only add the shift.
+    with one power of z, strips it once and weighs the run once per live
+    source, and its children only add the shift.
 
-    label[i] is the class of form i; a union relabels the target's class
-    with the source's label.  Each node drops the pairs whose forms share
-    a label, since components only grow, and a subtree is pruned when its
-    prefix fails the kernel test or no pair is left.  The leaves union
-    their pairs in source order, as a flat scan of every candidate would.
-    Returns (forms, label, witnesses), the forms in enumeration order and
-    the witnesses as (source, target, element) triples, one per union, in
-    that order.
+    label[i] is the class of form i and members[x] the bitmask of class x;
+    a union ORs the target's class into the source's.  A node keeps the
+    targets of each source that take the wanted value at j (by_val[j])
+    and lie outside its class, and a subtree is pruned when its prefix
+    fails the kernel test or no mask is left.  The leaves union sources
+    ascending, as a flat scan of every candidate would.  Returns (forms,
+    label, witnesses), the forms in enumeration order and the witnesses
+    as (source, target, element) triples, one per union, in that order.
     """
     p, psq = prime.p, prime.psq
     forms = list(enumerate_reduced_forms(prime, l, m))
     coeffs = [f.to_character().coeffs for f in forms]
     n = len(forms)
-    label = list(range(n))
-    witnesses = []
+    label, members, witnesses = list(range(n)), [1 << i for i in range(n)], []
     weights = [_weights(c, p, psq, m) for c in coeffs]
+    by_val = {j: {} for j in range(1, m + 1) if j % p}
+    for (j, masks), k in itertools.product(by_val.items(), range(n)):
+        masks[coeffs[k].get(j, 0)] = masks.get(coeffs[k].get(j, 0), 0) | 1 << k
 
-    # depth-first over prefixes z = [1, a_1, ..., a_d]; live holds the
-    # sorted (source, target) pairs still matching in different classes,
-    # and base maps each live source to its acted value at j = m - d for
-    # the sibling with a_d = 0, or is None when p | j.  An explicit stack
-    # keeps deep types clear of the recursion limit; children are pushed
-    # in reverse so the walk pops them with a_(d+1) ascending.  The root's
-    # row is E_m itself.
-    stack = [([1], itertools.product(range(n), repeat=2),
+    # depth-first over prefixes z = [1, a_1, ..., a_d] on an explicit stack
+    # (clear of the recursion limit), children pushed in reverse so a_(d+1)
+    # pops ascending; live maps each source, ascending, to its mask of
+    # targets still matching in other classes, and base to its acted value
+    # at j = m - d with a_d = 0 (the root's row is E_m), or is None if p | j.
+    stack = [([1], dict.fromkeys(range(n), (1 << n) - 1),
               {i: w[m] for i, w in enumerate(weights)} if m % p else None)]
     while stack:
         z, live, base = stack.pop()
@@ -354,28 +354,28 @@ def _join_reduced_forms(prime, l, m, strict):
         if strict and d == l and _kernel_root(z, p, l):
             continue
         if base is None:
-            live = tuple((i, k) for i, k in live if label[i] != label[k])
+            live = {i: r for i, mask in live.items() if (r := mask & ~members[label[i]])}
         else:
-            step = j * z[d] if d else 0
-            want = {i: (v + step * weights[i][m]) % psq for i, v in base.items()}
-            live = tuple((i, k) for i, k in live
-                         if label[i] != label[k] and coeffs[k].get(j, 0) == want[i])
+            step, vals = (j * z[d] if d else 0), by_val[j]
+            live = {i: r for i, mask in live.items() if (r := mask & ~members[label[i]]
+                    & vals.get((base[i] + step * weights[i][m]) % psq, 0))}
         if not live:
             continue
         if d < m - 1:
             shared = None
             if (j - 1) % p:
                 run = _strip_run(_row(j - 1, _pow_raw(z, j - 1, p, d + 1)), p, m)
-                shared = {i: _weigh(run, weights[i], psq) for i in {i for i, _ in live}}
+                shared = {i: _weigh(run, weights[i], psq) for i in live}
             stack.extend(([*z, a], live, shared) for a in reversed(range(p)))
             continue
-        # every coprime j is compared, so each source has at most one target left
-        for i, k in live:
+        # each mask holds one bit, since distinct forms differ at some coprime j
+        for i, mask in live.items():
+            k = mask.bit_length() - 1
             if label[i] != label[k]:
                 old = label[k]
+                members[label[i]] |= members[old]
                 label = [label[i] if x == old else x for x in label]
-                elt = NottinghamElement.from_unit_coeffs(prime, [*z[1:], 0])
-                witnesses.append((i, k, elt))
+                witnesses.append((i, k, NottinghamElement.from_unit_coeffs(prime, [*z[1:], 0])))
         if len(witnesses) == n - 1:
             break
     return forms, label, witnesses

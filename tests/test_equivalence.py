@@ -6,10 +6,12 @@ candidate space.
 """
 
 import copy
+import hashlib
 import itertools
 import json
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -458,6 +460,39 @@ def test_partition_shares_rows_across_siblings(monkeypatch):
     calls.clear()
     assert weak_class_count(2, 5, 17) == 2
     assert len(calls) <= 2189
+
+
+@pytest.mark.parametrize(
+    "p, l, m, strict, classes, unions, digest",
+    [(2, 9, 19, True, 4, 12,
+      "5c7d7f7b0d84f0f9b63ebcb2e5789da93bd08f8af2cc7d42113d3a4a6b8bebb3"),
+     (3, 4, 13, True, 12, 24,
+      "b7edb2a8cb2d4c407947c2dbe05398f2e4029d2151b3f4ceeecc5d1b7adb6aaa"),
+     (5, 2, 10, False, 20, 80,
+      "2e08b14094f0f48f5e0249933cc64ed7d5d2604935b75a31f94ce7fa86469409")],
+    ids=["strict-2-9-19", "strict-3-4-13", "weak-5-2-10"],
+)
+def test_partition_union_order_past_the_naive_scan(p, l, m, strict, classes, unions, digest):
+    # types too large for naive_partition: the class count, the unions and
+    # the witness texts in union order are pinned from the pair-tuple walk
+    _, label, found = _join_reduced_forms(as_prime(p), l, m, strict=strict)
+    text = "\n".join("%d %d %s" % (i, k, format_nottingham_product(e)) for i, k, e in found)
+    assert len(set(label)) == classes
+    assert len(found) == unions
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_walk_root_memory_when_p_divides_m():
+    # 5 | 10, so the root compares no value and keeps every source live;
+    # on a first call, a tuple per (source, target) pair peaked at 1,566 KB
+    # and a mask per source peaks at about 180 KB
+    tracemalloc.start()
+    try:
+        assert weak_class_count(5, 2, 10) == 20
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 @pytest.mark.parametrize(

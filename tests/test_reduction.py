@@ -493,6 +493,25 @@ def test_reduce_form_is_the_action_of_its_witness():
     }
 
 
+@pytest.mark.parametrize(
+    "p, l, m",
+    [(2, 3, 11), (2, 5, 15), (2, 9, 19), (3, 1, 7), (3, 2, 8), (3, 4, 13),
+     (5, 2, 12), (5, 7, 37), (7, 2, 15)],
+)
+def test_reduced_form_of_an_orbit_point_reads_the_first_l_digits(p, l, m):
+    # prefix lemma: chi o u and chi o w, with w the first l unit digits of
+    # u, reduce to one form; the l >= p types are those the partition walk
+    # alone counts
+    rng = random.Random(p * 1000 + m)
+    for _ in range(40):
+        chi = _typed_character(rng, p, l, m)
+        digits = [rng.randrange(p) for _ in range(m)]
+        u = NottinghamElement.from_unit_coeffs(p, digits)
+        w = NottinghamElement.from_unit_coeffs(p, [*digits[:l], *[0] * (m - l)])
+        case = (format_character_literal(chi), digits)
+        assert reduce(char_act(u, chi))[0] == reduce(char_act(w, chi))[0], case
+
+
 def test_reduce_digit_check_catches_a_dropped_term(monkeypatch, capsys):
     # a stage-two composition that drops the leading term of its step
     # leaves acc where the recorded values no longer describe it; the
