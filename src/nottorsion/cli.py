@@ -122,6 +122,11 @@ def build_parser():
 # Subcommands.
 
 
+def _emit(args, document, lines):
+    """Print `document` as one JSON line or `lines` as text, as --format asks."""
+    print(json.dumps(document) if args.format == "json" else "\n".join(lines))
+
+
 def cmd_reduce(args):
     chi = parse_character_literal(args.char, args.p)
     l, m = break_sequence(chi)
@@ -129,57 +134,50 @@ def cmd_reduce(args):
     psi = form.to_character()
     check = verify_witness(chi, psi, w)
     if not check.ok:
-        print("verification failure: %s" % check.reason, file=sys.stderr)
-        return 1
-    if args.format == "json":
-        print(json.dumps({
-            "p": args.p,
-            "input": format_character_literal(chi),
-            "type": [l, m],
-            "reduced": format_character_literal(psi),
-            "witness": w.to_text(),
-            "kernel_value": w.kernel_value,
-            "verified": True,
-        }))
-    else:
-        print("input    %s" % format_character_literal(chi))
-        print("type     <%d,%d>" % (l, m))
-        print("reduced  %s" % format_character_literal(psi))
-        print("witness  %s" % w.to_text())
-        print("verified ok (kernel value %d)" % w.kernel_value)
+        raise RuntimeError(check.reason)
+    doc = {
+        "p": args.p,
+        "input": format_character_literal(chi),
+        "type": [l, m],
+        "reduced": format_character_literal(psi),
+        "witness": w.to_text(),
+        "kernel_value": w.kernel_value,
+        "verified": True,
+    }
+    _emit(args, doc, [
+        "input    %(input)s" % doc,
+        "type     <%d,%d>" % (l, m),
+        "reduced  %(reduced)s" % doc,
+        "witness  %(witness)s" % doc,
+        "verified ok (kernel value %(kernel_value)d)" % doc,
+    ])
     return 0
 
 
 def cmd_classify(args):
     rep = partition_reduced_forms(args.p, args.l, args.m, budget=args.budget)
-    if args.format == "json":
-        print(json.dumps(rep.to_json_dict()))
-    else:
-        print(
-            "type <%d,%d> over F_%d: %d reduced forms, %d class(es), "
-            "search space %d, %d ms"
-            % (args.l, args.m, args.p, rep.bound, rep.class_count,
-               rep.search_space_size, rep.runtime_ms)
+    lines = [
+        "type <%d,%d> over F_%d: %d reduced forms, %d class(es), "
+        "search space %d, %d ms"
+        % (args.l, args.m, args.p, rep.bound, rep.class_count,
+           rep.search_space_size, rep.runtime_ms)
+    ]
+    for idx, cls in enumerate(rep.classes):
+        members = " | ".join(
+            format_character_literal(rep.forms[i].to_character()) for i in cls
         )
-        for idx, cls in enumerate(rep.classes):
-            members = " | ".join(
-                format_character_literal(rep.forms[i].to_character()) for i in cls
-            )
-            print("class %d: %s" % (idx, members))
-        for i, j, elt in rep.witnesses:
-            print("witness %d -> %d: %s" % (i, j, format_nottingham_product(elt)))
+        lines.append("class %d: %s" % (idx, members))
+    for i, j, elt in rep.witnesses:
+        lines.append("witness %d -> %d: %s" % (i, j, format_nottingham_product(elt)))
+    _emit(args, rep.to_json_dict(), lines)
     return 0
 
 
 def cmd_bound(args):
     b = reduced_form_bound(args.p, args.l, args.m)
     k, eps = bound_exponents(args.p, args.l, args.m)
-    if args.format == "json":
-        print(json.dumps({"p": args.p, "l": args.l, "m": args.m,
-                          "bound": b, "k": k, "eps": eps}))
-    else:
-        print("B(p=%d, l=%d, m=%d) = %d   (k=%d, eps=%d)"
-              % (args.p, args.l, args.m, b, k, eps))
+    _emit(args, {"p": args.p, "l": args.l, "m": args.m, "bound": b, "k": k, "eps": eps},
+          ["B(p=%d, l=%d, m=%d) = %d   (k=%d, eps=%d)" % (args.p, args.l, args.m, b, k, eps)])
     return 0
 
 
@@ -208,12 +206,9 @@ def _tables_rows(p, max_l, max_m, budget):
 
 def cmd_tables(args):
     rows = _tables_rows(args.p, args.l, args.m, args.budget)
-    if args.format == "json":
-        print(json.dumps(rows))
-    else:
-        print(TABLES_HEADER)
-        for r in rows:
-            print("%(p)s,%(l)s,%(m)s,%(valid)s,%(B)s,%(d)s,%(runtime_ms)s" % r)
+    _emit(args, rows, [TABLES_HEADER] + [
+        "%(p)s,%(l)s,%(m)s,%(valid)s,%(B)s,%(d)s,%(runtime_ms)s" % r for r in rows
+    ])
     return 0
 
 
@@ -254,10 +249,7 @@ def cmd_power_conj(args):
             ", witness %s" % w.to_text() if w else "",
         ))
         lines.append("agreement  %s" % ("ok" if found == predicted else "MISMATCH"))
-    if args.format == "json":
-        print(json.dumps(report))
-    else:
-        print("\n".join(lines))
+    _emit(args, report, lines)
     return 1 if report["agreement"] is False else 0
 
 
@@ -266,13 +258,8 @@ def cmd_verify(args):
         results = [run_criterion(args.only, budget=args.budget, seed=args.seed)]
     else:
         results = run_all(budget=args.budget, seed=args.seed)
-    if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in results]))
-    else:
-        for r in results:
-            print(r.summary_line())
-            for line in r.detail_lines():
-                print(line)
+    _emit(args, [r.to_json_dict() for r in results],
+          [line for r in results for line in (r.summary_line(), *r.detail_lines())])
     failed = [r for r in results if not r.passed]
     if failed:
         print("%d of %d criteria failed" % (len(failed), len(results)),

@@ -181,7 +181,7 @@ def _flat_scan(chi, psi, budget, strict):
     p = chi.prime.p
     require_budget(p, m, budget)
     head = l if strict else 0
-    xdig = [chi.value(k) % p if k % p else 0 for k in range(l + 1)]
+    xdig = [chi.value(k) % p for k in range(l + 1)]
     scanner = _ActionScanner(chi.prime, m)
     src, tgt = _weights(chi.coeffs, p, chi.prime.psq, m), psi.coeffs
     for prefix in itertools.product(range(p), repeat=head):

@@ -26,13 +26,21 @@ from array import array
 
 
 class ParseError(ValueError):
-    """Malformed text input; `offset` is the byte position of the problem."""
+    """Malformed text input.
+
+    `args[0]` is the bare message.  `offset`, when given, is the index in
+    the input text of the first character of the bad part, and str()
+    appends it as "(at offset N)".
+    """
 
     def __init__(self, message, offset=None):
-        if offset is not None:
-            message = "%s (at offset %d)" % (message, offset)
         super().__init__(message)
         self.offset = offset
+
+    def __str__(self):
+        if self.offset is None:
+            return self.args[0]
+        return "%s (at offset %d)" % (self.args[0], self.offset)
 
 
 class _Value:
@@ -201,7 +209,7 @@ def _subst_raw(f, z, p, n):
     # with one power: the steps (1+t^k)^d (1+t^m)^e of a reduction are
     # sparse by Lucas' theorem.
     out = [0] * (n + 1)
-    out[0] = f[0] % p if f else 0
+    out[0] = f[0]
     zp, prev = [1], 0
     for k in range(1, min(len(f), n + 1)):
         fk = f[k]
@@ -596,7 +604,8 @@ def parse_unit(text: str, p, precision: int | None = None) -> UnitSeries:
     for chunk in text.split("+"):
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
-            raise ParseError("unreadable term %r" % chunk.strip(), pos)
+            bad = chunk.lstrip()
+            raise ParseError("unreadable term %r" % bad.rstrip(), pos + len(chunk) - len(bad))
         coef = int(m.group(1)) if m.group(1) is not None else 1
         if m.group(2) is None:
             const += coef
@@ -612,17 +621,11 @@ def parse_unit(text: str, p, precision: int | None = None) -> UnitSeries:
     n = precision if precision is not None else max(coeffs, default=1)
     if n < 1:
         raise ParseError("precision must be >= 1", 0)
-    out = [0] * n
-    for deg, coef in coeffs.items():
-        if deg <= n:
-            out[deg - 1] = coef % prime.p
-        elif precision is None:
-            raise ParseError("degree %d beyond precision %d" % (deg, n), 0)
-        # explicit precision silently truncates higher literal terms
-    return UnitSeries(prime, out)
+    # an explicit precision silently truncates higher literal terms
+    return UnitSeries(prime, [coeffs.get(d, 0) % prime.p for d in range(1, n + 1)])
 
 
-_FACTOR_RE = re.compile(r"\*\s*\(([^()]*)\)\s*(?:\^\s*(-?\d+))?")
+_FACTOR_RE = re.compile(r"\s*\*\s*\(([^()]*)\)\s*(?:\^\s*(-?\d+))?")
 
 
 def format_nottingham_product(u: NottinghamElement) -> str:
@@ -641,37 +644,32 @@ def format_nottingham_product(u: NottinghamElement) -> str:
 def parse_nottingham(text: str, p, precision: int | None = None) -> NottinghamElement:
     """Parse a group element literal like "t*(1+t^3+t^4)*(1+t^15)^2".
 
-    Without an explicit precision the highest degree appearing in any
-    factor is used (minimum 1).
+    Each factor is read at its own precision and lifted to the element's:
+    the explicit one, which truncates, or else the highest degree appearing
+    in any factor (minimum 1).  An explicit precision below 1 raises
+    ValueError once the text has parsed.
     """
     prime = as_prime(p)
-    s = text.strip()
-    if not s.startswith("t"):
-        raise ParseError("group element literal must start with t", 0)
-    rest = s[1:]
+    end = len(text.rstrip())
+    pos = len(text) - len(text.lstrip())
+    if not text.startswith("t", pos):
+        raise ParseError("group element literal must start with t", pos)
+    pos += 1
     factors = []
-    pos = len(text) - len(text.lstrip()) + 1
-    while rest.strip():
-        m = _FACTOR_RE.match(rest.strip())
+    while pos < end:
+        m = _FACTOR_RE.match(text, pos, end)
         if not m:
-            raise ParseError("unreadable factor near %r" % rest.strip()[:20], pos)
-        inner, exp = m.group(1), int(m.group(2)) if m.group(2) else 1
-        factors.append((inner, exp, pos))
-        consumed = len(rest) - len(rest.strip()) + m.end()
-        pos += consumed
-        rest = rest.strip()[m.end():]
-    if precision is None:
-        precision = 1
-        for inner, _, offset in factors:
-            try:
-                precision = max(precision, parse_unit(inner, prime).precision)
-            except ParseError as exc:
-                raise ParseError(str(exc), offset) from None
-    unit = UnitSeries.one(prime, precision)
-    for inner, exp, offset in factors:
+            bad = text[pos:end].lstrip()
+            raise ParseError("unreadable factor near %r" % bad[:20], end - len(bad))
         try:
-            base = parse_unit(inner, prime, precision)
+            base = parse_unit(m.group(1), prime)
         except ParseError as exc:
-            raise ParseError(str(exc), offset) from None
-        unit = unit_mul(unit, unit_pow(base, exp))
+            raise ParseError(exc.args[0], m.start(1) + exc.offset) from None
+        factors.append((base, int(m.group(2) or 1)))
+        pos = m.end()
+    if precision is None:
+        precision = max((base.precision for base, _ in factors), default=1)
+    unit = UnitSeries.one(prime, precision)
+    for base, exp in factors:
+        unit = unit_mul(unit, unit_pow(base.at_precision(precision), exp))
     return NottinghamElement(prime, unit)

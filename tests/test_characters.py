@@ -19,6 +19,7 @@ from nottorsion.characters import (
     break_sequence,
     char_act,
     char_eval,
+    character_count,
     enumerate_characters,
     enumerate_reduced_forms,
     format_character_literal,
@@ -510,6 +511,7 @@ def test_enumeration_counts_match_product_oracle():
         chars = sum(1 for _ in enumerate_characters(p, l, m))
         forms = sum(1 for _ in enumerate_reduced_forms(p, l, m))
         assert chars == count_oracle(p, l, m), (p, l, m)
+        assert character_count(p, l, m) == chars, (p, l, m)
         assert forms == form_count_oracle(p, l, m), (p, l, m)
         assert chars == 512 if (p, l, m) == (2, 5, 15) else True
     assert count_oracle(2, 5, 15) == 512

@@ -9,10 +9,10 @@ import json
 
 import pytest
 
-from nottorsion import acceptance, reduction
+from nottorsion import acceptance, cli, reduction
 from nottorsion.characters import char_act, parse_character_literal
 from nottorsion.cli import TABLES_HEADER, build_parser, main
-from nottorsion.reduction import verify_witness
+from nottorsion.reduction import WitnessCheck, verify_witness
 from nottorsion.series import parse_nottingham
 
 
@@ -75,6 +75,15 @@ def test_reduce_internal_fault_is_a_verification_failure(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("verification failure: ")
     assert "kernel value 7, a unit mod 3" in err
+    assert out == ""
+
+
+def test_reduce_rejected_witness_is_a_verification_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_witness",
+                        lambda chi, psi, w: WitnessCheck(False, "action-mismatch"))
+    code, out, err = run(capsys, "reduce", "--p", "3", "--char", "1:1,2:3,4:3")
+    assert code == 1
+    assert err == "verification failure: action-mismatch\n"
     assert out == ""
 
 

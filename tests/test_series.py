@@ -370,6 +370,93 @@ def test_product_form_roundtrip():
         assert parse_nottingham(text, p, u.precision) == u
 
 
+def random_literal(rng, p):
+    """A group element literal with random spacing, term order and
+    exponents, and its factors as (degree -> coefficient, exponent)."""
+    def sep():
+        return rng.choice(["", " "])
+
+    parts, factors = ["t"], []
+    for _ in range(rng.randrange(4)):
+        terms = {d: rng.randrange(2 * p) for d in rng.sample(range(1, 12), rng.randrange(4))}
+        chunks = ["1"]
+        for d, c in terms.items():
+            term = "t" if d == 1 else "t^%d" % d
+            if c != 1 or rng.random() < 0.5:
+                term = "%d%s*%s%s" % (c, sep(), sep(), term)
+            chunks.append(term)
+        rng.shuffle(chunks)
+        exp = rng.choice([1, 1, 2, -1, p + 1])
+        body = (sep() + "+" + sep()).join(chunks)
+        parts.append("(%s)%s" % (body, "" if exp == 1 else "%s^%d" % (sep(), exp)))
+        factors.append((terms, exp))
+    return sep() + (sep() + "*" + sep()).join(parts) + sep(), factors
+
+
+def literal_oracle(factors, p, n):
+    """The element a literal names at precision n: the product of its
+    factors truncated at degree n."""
+    unit = UnitSeries.one(p, n)
+    for terms, exp in factors:
+        base = UnitSeries(p, [terms.get(d, 0) for d in range(1, n + 1)])
+        unit = unit_mul(unit, unit_pow(base, exp))
+    return NottinghamElement(p, unit)
+
+
+def test_parse_nottingham_on_seeded_literals():
+    # sum-form factors "(1+2*t^3+t^5)" and product forms "(1+t^4)^2"
+    # mixed; without a precision the highest degree in any factor counts,
+    # with one every factor is truncated or extended to it
+    rng = random.Random(113)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        text, factors = random_literal(rng, p)
+        own = max((max(terms, default=1) for terms, _ in factors), default=1)
+        assert parse_nottingham(text, p) == literal_oracle(factors, p, own), text
+        n = rng.randrange(1, 14)
+        assert parse_nottingham(text, p, n) == literal_oracle(factors, p, n), (text, n)
+
+
+# literal, bare message, and the text that starts at the reported offset
+MALFORMED_LITERALS = [
+    ("t*(1+x)*(1+t)", "unreadable term 'x'", "x)*"),
+    ("t*(1+t) *(1+x)", "unreadable term 'x'", "x)"),  # offset 12
+    ("  t*(1+t)*(1+t^2+?)", "unreadable term '?'", "?)"),
+    ("  x*(1+t)", "group element literal must start with t", "x*"),
+    ("t * ( 1 +  y ) ", "unreadable term 'y'", "y )"),
+    ("t*(1+t)*()", "empty series literal", ")"),
+    ("t*(1+t)*(2+t)", "unit literal must have constant term 1 mod 3", "2+t"),
+    ("t*(1+t))", "unreadable factor near ')'", ")"),
+    ("t*(1+t)  junk ", "unreadable factor near 'junk'", "junk"),
+]
+
+
+@pytest.mark.parametrize("text, message, bad", MALFORMED_LITERALS)
+def test_parse_nottingham_reports_absolute_offsets(text, message, bad):
+    with pytest.raises(ParseError) as info:
+        parse_nottingham(text, 3)
+    exc = info.value
+    assert exc.args[0] == message
+    assert text[exc.offset:].startswith(bad)
+    assert str(exc) == "%s (at offset %d)" % (message, exc.offset)
+    assert str(exc).count("(at offset") == 1
+
+
+@pytest.mark.parametrize("text", ["t", "t*(1+t)", "t*(1+t^3)^2"])
+def test_parse_nottingham_precision_below_one_is_a_value_error(text):
+    # the precision is an argument, not part of the text: ValueError,
+    # never a ParseError with an offset, with or without factors
+    for n in (0, -1):
+        with pytest.raises(ValueError) as info:
+            parse_nottingham(text, 3, n)
+        assert not isinstance(info.value, ParseError)
+
+
+def test_parse_error_without_offset():
+    exc = ParseError("bad")
+    assert exc.offset is None and str(exc) == "bad" and exc.args == ("bad",)
+
+
 def test_negative_exponent_literal():
     u = parse_nottingham("t*(1+t)^-1", 2, 4)
     assert u.unit == unit_pow(parse_unit("1+t", 2, 4), -1)
