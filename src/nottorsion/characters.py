@@ -494,7 +494,8 @@ def parse_character_literal(text: str, p) -> Character:
     for chunk in text.split(","):
         m = _PAIR_RE.match(chunk)
         if not m:
-            raise ParseError("unreadable index:value pair %r" % chunk.strip(), pos)
+            raise ParseError("unreadable index:value pair %r" % chunk.strip(),
+                             pos + len(chunk) - len(chunk.lstrip()))
         j, v = int(m.group(1)), int(m.group(2))
         if j < 1 or j % prime.p == 0:
             raise ParseError(

@@ -31,7 +31,6 @@ lexicographically smallest witness has a_m = 0.
 from __future__ import annotations
 
 import itertools
-import time
 
 from .characters import (
     Character,
@@ -45,7 +44,6 @@ from .characters import (
     _weights,
     break_sequence,
     enumerate_reduced_forms,
-    format_character_literal,
     require_valid_type,
     scalar_mul,
 )
@@ -56,7 +54,6 @@ from .series import (
     _strip_run,
     _Value,
     as_prime,
-    format_nottingham_product,
 )
 
 DEFAULT_BUDGET = 1 << 26
@@ -231,7 +228,8 @@ class ClassReport(_Value):
     tuples of indices into that list, each sorted ascending, the list
     sorted by first member; `witnesses` are (source, target, element)
     triples recorded at each union, all of which pass verify_witness.
-    Reports compare and hash on every slot, `runtime_ms` included.
+    A report holds no runtime, so two partitions of one type compare and
+    hash equal; the CLI times the call and builds the output documents.
     """
 
     __slots__ = (
@@ -244,7 +242,6 @@ class ClassReport(_Value):
         "classes",
         "witnesses",
         "search_space_size",
-        "runtime_ms",
     )
 
     def __init__(self, **kw):
@@ -254,44 +251,6 @@ class ClassReport(_Value):
     def representative(self, class_index):
         """Lexicographically smallest member of the class."""
         return self.forms[self.classes[class_index][0]]
-
-    def to_json_dict(self):
-        return {
-            "p": self.prime.p,
-            "l": self.l,
-            "m": self.m,
-            "bound": self.bound,
-            "class_count": self.class_count,
-            "search_space_size": self.search_space_size,
-            "runtime_ms": self.runtime_ms,
-            "classes": [
-                {
-                    "representative": format_character_literal(
-                        self.forms[cls[0]].to_character()
-                    ),
-                    "members": [
-                        {
-                            "x_l": self.forms[i].x_l,
-                            "b": {str(j): v for j, v in sorted(self.forms[i].b.items())},
-                            "character": format_character_literal(
-                                self.forms[i].to_character()
-                            ),
-                        }
-                        for i in cls
-                    ],
-                    "witnesses": [
-                        {
-                            "source": i,
-                            "target": j,
-                            "element": format_nottingham_product(elt),
-                        }
-                        for (i, j, elt) in self.witnesses
-                        if i in cls
-                    ],
-                }
-                for cls in self.classes
-            ],
-        }
 
 
 def _join_reduced_forms(prime, l, m, strict):
@@ -389,7 +348,6 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
     flat scan of every candidate would give.  Raises BudgetExceeded when
     p^m exceeds the budget.
     """
-    started = time.perf_counter()
     prime = as_prime(p)
     p = prime.p
     require_valid_type(prime, l, m)
@@ -399,7 +357,6 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
     for i, x in enumerate(label):
         groups.setdefault(x, []).append(i)
     classes = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
-    runtime_ms = int((time.perf_counter() - started) * 1000)
     return ClassReport(
         prime=prime,
         l=l,
@@ -410,7 +367,6 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
         classes=tuple(classes),
         witnesses=tuple(witnesses),
         search_space_size=p**m,
-        runtime_ms=runtime_ms,
     )
 
 

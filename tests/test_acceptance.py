@@ -1,7 +1,7 @@
 """One test per acceptance criterion.
 
-Each test runs the corresponding checker from nottorsion.acceptance and
-prints the full detail block either way.  Criteria 1, 2, 4, 5 and 6 are
+Each test runs its criterion as `nottorsion verify --only N --format
+json` and prints the document the CLI emits either way.  Criteria 1, 2, 4, 5 and 6 are
 asserted to pass.  Criterion 3 is asserted to give its documented
 verdict: every table check and the identity checks at m = 6 and m = 7
 pass, and the one failing check is the identity "strict = p * weak" at
@@ -12,10 +12,12 @@ fails if a count moves, if a table check breaks, or if the identity
 ever passes there, which would mean a strict count above the bound.
 """
 
+import json
 import random
 
 from nottorsion import acceptance
 from nottorsion.characters import _type_choice_lists, break_sequence
+from nottorsion.cli import main
 from nottorsion.equivalence import (
     reduced_form_bound,
     type_1m_class_count,
@@ -24,29 +26,32 @@ from nottorsion.equivalence import (
 from nottorsion.series import UnitSeries
 
 
-def _block(result):
-    block = "\n".join([result.summary_line(), *result.detail_lines()])
+def _verify(capsys, number):
+    """The document of criterion `number` from the CLI, its checks as
+    (ok, text) pairs, and that document as printable text."""
+    code = main(["verify", "--only", str(number), "--format", "json"])
+    (doc,) = json.loads(capsys.readouterr().out)
+    block = json.dumps(doc, indent=1)
     print(block)
-    return block
+    assert code == (0 if doc["passed"] else 1), "\n" + block
+    return doc, [(c["ok"], c["text"]) for c in doc["checks"]], block
 
 
-def _run(number):
-    result = acceptance.run_criterion(number)
-    block = _block(result)
-    assert result.passed, "\n" + block
+def _run(capsys, number):
+    doc, _, block = _verify(capsys, number)
+    assert doc["passed"], "\n" + block
 
 
-def test_criterion_1_reduced_form_counts():
-    _run(1)
+def test_criterion_1_reduced_form_counts(capsys):
+    _run(capsys, 1)
 
 
-def test_criterion_2_class_count_methods_agree():
-    _run(2)
+def test_criterion_2_class_count_methods_agree(capsys):
+    _run(capsys, 2)
 
 
-def test_criterion_3_legacy_tables_and_product_identity():
-    result = acceptance.run_criterion(3)
-    block = _block(result)
+def test_criterion_3_legacy_tables_and_product_identity(capsys):
+    doc, checks, block = _verify(capsys, 3)
     expected = []
     for p, m in ((2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (3, 5)):
         n = type_1m_class_count(p, m)
@@ -73,23 +78,23 @@ def test_criterion_3_legacy_tables_and_product_identity():
                 % (m, b, 3 * w, b),
             )
         )
-    assert list(result.checks) == expected, "\n" + block
-    assert not result.passed, "\n" + block
+    assert checks == expected, "\n" + block
+    assert not doc["passed"], "\n" + block
 
 
-def test_criterion_4_merging_counterexample():
-    _run(4)
+def test_criterion_4_merging_counterexample(capsys):
+    _run(capsys, 4)
 
 
-def test_criterion_5_power_conjugacy_agreement():
-    _run(5)
+def test_criterion_5_power_conjugacy_agreement(capsys):
+    _run(capsys, 5)
 
 
-def test_criterion_6_property_suites():
-    _run(6)
+def test_criterion_6_property_suites(capsys):
+    _run(capsys, 6)
 
 
-def test_criterion_6_counts_failures(monkeypatch):
+def test_criterion_6_counts_failures(monkeypatch, capsys):
     # a recompose that always returns 1 + t breaks the round trip and
     # nothing else, so only the first suite may report failures
     monkeypatch.setattr(acceptance, "PROPERTY_CASES", 20)
@@ -98,13 +103,28 @@ def test_criterion_6_counts_failures(monkeypatch):
         "unit_recompose",
         lambda e, precision: UnitSeries(e.prime, [1] + [0] * (precision - 1)),
     )
-    result = acceptance.run_criterion(6)
-    block = _block(result)
-    (ok, roundtrip), *others = result.checks[:8]
+    doc, checks, block = _verify(capsys, 6)
+    (ok, roundtrip), *others = checks[:8]
     assert roundtrip.startswith("decomposition round-trip: 20 cases, ")
     assert not ok and ", 0 failures" not in roundtrip, "\n" + block
     assert all(ok and ": 20 cases, 0 failures (" in text for ok, text in others), "\n" + block
-    assert not result.passed, "\n" + block
+    assert not doc["passed"], "\n" + block
+
+
+def test_run_all_returns_each_criterion_in_order(monkeypatch):
+    seen = []
+
+    def stub(number):
+        def run(budget, seed):
+            seen.append((number, budget, seed))
+            return acceptance.CriterionResult(number, "stub", [(number != 2, "x")])
+
+        return run
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (stub(1), stub(2), stub(3)))
+    results = acceptance.run_all(budget=5, seed=6)
+    assert [(r.number, r.passed) for r in results] == [(1, True), (2, False), (3, True)]
+    assert seen == [(1, 5, 6), (2, 5, 6), (3, 5, 6)]
 
 
 def test_random_characters_follow_the_type_layout():

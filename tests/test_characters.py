@@ -557,6 +557,29 @@ def test_literal_zero_character():
     assert format_character_literal(Character(2, {})) == "0"
 
 
+# literal over F_3, bare message, and the text that starts at the
+# reported offset
+MALFORMED_CHARACTER_LITERALS = [
+    ("1:1, x", "unreadable index:value pair 'x'", "x"),
+    ("1:1,  4:x", "unreadable index:value pair '4:x'", "4:x"),
+    ("1:1,,2:1", "unreadable index:value pair ''", ",2:1"),
+    ("1:1, 3:1", "index 3 must be positive and coprime to p=3", "3:1"),
+    (" 2:1 , 0:4", "index 0 must be positive and coprime to p=3", "0:4"),
+    ("1:1,2: 9", "value 9 out of range 0..8", "9"),
+    ("2:1, 1:1 ,2:5", "repeated index 2", "2:5"),
+]
+
+
+@pytest.mark.parametrize("text, message, bad", MALFORMED_CHARACTER_LITERALS)
+def test_parse_character_literal_reports_absolute_offsets(text, message, bad):
+    with pytest.raises(ParseError) as info:
+        parse_character_literal(text, 3)
+    exc = info.value
+    assert exc.args[0] == message
+    assert text[exc.offset:].startswith(bad)
+    assert str(exc) == "%s (at offset %d)" % (message, exc.offset)
+
+
 def test_literal_errors():
     with pytest.raises(ParseError):
         parse_character_literal("4:1", 2)  # index divisible by p

@@ -5,7 +5,10 @@ exit code.  Frozen outputs come from the library's own tested behavior.
 """
 
 import argparse
+import functools
+import itertools
 import json
+import time
 
 import pytest
 
@@ -20,6 +23,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def step_clock(monkeypatch, step):
+    """Make time.perf_counter move `step` seconds at each read."""
+    monkeypatch.setattr(time, "perf_counter",
+                        functools.partial(next, itertools.count(0.0, step)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +118,37 @@ def test_classify_json(capsys):
     assert payload["bound"] == 4
     assert set(payload) == {"p", "l", "m", "bound", "class_count",
                             "search_space_size", "runtime_ms", "classes"}
+
+
+CLASSIFY_2_3_6_TEXT = (
+    "type <3,6> over F_2: 4 reduced forms, 2 class(es), search space 64, 250 ms\n"
+    "class 0: 3:1 | 3:1,5:2\n"
+    "class 1: 3:3 | 3:3,5:2\n"
+    "witness 0 -> 1: t*(1+t)*(1+t^2)\n"
+    "witness 2 -> 3: t*(1+t)*(1+t^2)\n"
+)
+CLASSIFY_2_3_6_JSON = (
+    '{"p": 2, "l": 3, "m": 6, "bound": 4, "class_count": 2, "search_space_size": 64, '
+    '"runtime_ms": 250, "classes": [{"representative": "3:1", "members": '
+    '[{"x_l": 1, "b": {"3": 0, "5": 0}, "character": "3:1"}, '
+    '{"x_l": 1, "b": {"3": 0, "5": 1}, "character": "3:1,5:2"}], '
+    '"witnesses": [{"source": 0, "target": 1, "element": "t*(1+t)*(1+t^2)"}]}, '
+    '{"representative": "3:3", "members": '
+    '[{"x_l": 1, "b": {"3": 1, "5": 0}, "character": "3:3"}, '
+    '{"x_l": 1, "b": {"3": 1, "5": 1}, "character": "3:3,5:2"}], '
+    '"witnesses": [{"source": 2, "target": 3, "element": "t*(1+t)*(1+t^2)"}]}]}\n'
+)
+
+
+@pytest.mark.parametrize("fmt, want", [("text", CLASSIFY_2_3_6_TEXT),
+                                       ("json", CLASSIFY_2_3_6_JSON)])
+def test_classify_output_is_pinned(capsys, monkeypatch, fmt, want):
+    # the CLI reads the clock twice around the partition: 250 ms at a
+    # quarter second per read
+    step_clock(monkeypatch, 0.25)
+    code, out, err = run(capsys, "classify", "--p", "2", "--l", "3", "--m", "6",
+                         "--format", fmt)
+    assert (code, out, err) == (0, want, "")
 
 
 def test_classify_budget_refusal(capsys):
@@ -303,6 +343,15 @@ def test_power_conj_n_divisible_by_p_is_an_error_at_any_budget(capsys, budget):
     assert out == ""
 
 
+@pytest.mark.parametrize("budget", ["0", "1000"])
+def test_power_conj_trivial_power_is_an_error_at_any_budget(capsys, budget):
+    # 10 = 1 mod 9, so 10*chi = chi and u^10 = u: nothing to decide
+    code, out, err = run(capsys, "power-conj", "--p", "3", "--l", "1", "--m", "4",
+                         "--n", "10", "--budget", budget)
+    assert (code, out) == (2, "")
+    assert err == "error: scalar multiple equals the character itself\n"
+
+
 def test_power_conj_budget_0_skips_the_oracle(capsys):
     code, out, err = run(capsys, "power-conj", "--p", "3", "--l", "1", "--m", "4",
                          "--n", "4", "--budget", "0")
@@ -367,7 +416,7 @@ def test_verify_rejects_bad_criterion(capsys):
 def _stub_criterion(number, ok):
     def run(budget, seed):
         return acceptance.CriterionResult(
-            number, "stub %d" % number, [(True, "first"), (ok, "second")], 7)
+            number, "stub %d" % number, [(True, "first"), (ok, "second")])
 
     return run
 
@@ -375,6 +424,8 @@ def _stub_criterion(number, ok):
 def test_verify_runs_every_criterion(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "CRITERIA", tuple(
         _stub_criterion(k, ok) for k, ok in ((1, True), (2, False), (3, True))))
+    # the CLI reads the clock twice around each criterion: 7.5 ms apart
+    step_clock(monkeypatch, 0.0075)
     code, out, err = run(capsys, "verify")
     assert code == 1
     assert out == (

@@ -6,11 +6,12 @@ candidate space.
 """
 
 import copy
+import functools
 import hashlib
 import itertools
-import json
 import pickle
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -342,17 +343,34 @@ def test_partition_merges_everything_at_2_5_15():
 
 
 def test_partition_report_structure():
+    # the report is a plain record of the partition; tests/test_cli.py
+    # pins the documents that `classify` builds from it
     rep = partition_reduced_forms(2, 3, 6)
+    assert set(ClassReport.__slots__) == {
+        "prime", "l", "m", "bound", "class_count", "forms", "classes",
+        "witnesses", "search_space_size",
+    }
+    assert (rep.prime.p, rep.l, rep.m, rep.bound) == (2, 3, 6, 4)
+    assert (rep.class_count, rep.search_space_size) == (2, 64)
+    assert [str(f.to_character()) for f in rep.forms] == [
+        "p=2; 3:1", "p=2; 3:1,5:2", "p=2; 3:3", "p=2; 3:3,5:2",
+    ]
     assert rep.classes == ((0, 1), (2, 3))
-    data = rep.to_json_dict()
-    json.dumps(data)  # serializable
-    assert data["p"] == 2 and data["l"] == 3 and data["m"] == 6
-    assert data["class_count"] == 2
-    assert len(data["classes"]) == 2
-    first = data["classes"][0]
-    assert first["representative"] == "3:1"
-    assert [m["character"] for m in first["members"]] == ["3:1", "3:1,5:2"]
-    assert rep.runtime_ms >= 0
+    assert rep.representative(1) == rep.forms[2]
+    assert [(i, j, format_nottingham_product(e)) for i, j, e in rep.witnesses] == [
+        (0, 1, "t*(1+t)*(1+t^2)"),
+        (2, 3, "t*(1+t)*(1+t^2)"),
+    ]
+
+
+def test_partitions_of_one_type_are_equal_whatever_the_clock(monkeypatch):
+    # each read of the clock moves it one second further than the last,
+    # so no two timed intervals agree; the library reads no clock, and
+    # two partitions of one type compare and hash equal
+    clock = functools.partial(next, itertools.accumulate(itertools.count(1)))
+    monkeypatch.setattr(time, "perf_counter", clock)
+    first, second = partition_reduced_forms(2, 3, 6), partition_reduced_forms(2, 3, 6)
+    assert first == second and hash(first) == hash(second)
 
 
 def naive_partition(p, l, m, strict=True):
@@ -513,13 +531,6 @@ def test_class_counts_at_or_above_p_over_f2(l, m, want):
         ).ok
 
 
-def _report():
-    # runtime_ms is pinned so that two partitions build equal reports
-    rep = partition_reduced_forms(2, 3, 6)
-    slots = {name: getattr(rep, name) for name in ClassReport.__slots__}
-    return ClassReport(**dict(slots, runtime_ms=5))
-
-
 def _chi():
     return Character(3, {1: 1, 2: 3, 4: 3})
 
@@ -543,8 +554,8 @@ RECORDS = {
     "ReducedForm": (lambda: ReducedForm(3, 1, 4, 1, {4: 1}), "b"),
     "Witness": (lambda: reduce(_chi())[1], "kernel_value"),
     "WitnessCheck": (_witness_check, "ok"),
-    "ClassReport": (_report, "class_count"),
-    "CriterionResult": (lambda: CriterionResult(3, "title", [(True, "x")], 5), "passed"),
+    "ClassReport": (lambda: partition_reduced_forms(2, 3, 6), "class_count"),
+    "CriterionResult": (lambda: CriterionResult(3, "title", [(True, "x")]), "passed"),
 }
 
 
