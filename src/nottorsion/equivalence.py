@@ -9,18 +9,26 @@ a miss is a proof of non-equivalence, subject only to the cost budget.
 
 The action of u on a character of bound m reads only the unit
 coefficients a_1 .. a_(m-1) of u, and the kernel condition mod p reads
-only a_1 .. a_l.  The strict and weak searches scan F_p^(m-1) with a
-kernel test on each length-l prefix, evaluating rows straight to values
-up to the first wrong one.  The class counts walk the same
-candidates as a prefix tree, depth-first and in the same order: the
+only a_1 .. a_l.  The unit layer reads fewer still: mod p, chi(E_k) is
+the unit digit x_k, which vanishes above l, so the acted value at a
+coprime j <= l, read mod p, weighs only the strip digits of E_j o u up
+to degree l and reads only a_1 .. a_(l-j).  The strict and weak searches
+scan F_p^(m-1) head by head, a head being a_1 .. a_l: a head that fails
+the kernel test (strict only) or misses the target's unit layer skips
+all of its extensions, and the others evaluate each candidate's rows
+straight to values up to the first wrong one.  The class counts walk the
+same candidates as a prefix tree, depth-first and in the same order: the
 acted value at j reads only a_1 .. a_(m-j), so the walk compares values
 as soon as their digits are fixed, and it prunes a prefix that can join
-no two classes still apart.  The p children of a node differ only in
-the last strip of their row, which reduced forms see as a multiple of
-p, so they share one row: the walk computes one power of z per node it
-expands, not one per node it visits (1,104 against 2,209 at <5,17> over
-F_2).  With the kernel test it gives the strict classes of the reduced
-forms, without it the weak classes of the type.
+no two classes still apart.  Reduced forms have no unit digit below l,
+so the walk also prunes, at depth d < l, a prefix whose unit-layer value
+at j = l - d is nonzero.  The p children of a node differ only in the
+last strip of their row, which reduced forms see as a multiple of p, so
+they share one row: the walk computes one power of z per node it
+expands, not one per node it visits.  At <5,17> over F_2 the walk visits
+57 nodes of the 2^16 candidates and computes 23 powers.  With the kernel
+test it gives the strict classes of the reduced forms, without it the
+weak classes of the type.
 
 The trailing coefficient a_m is pinned to zero: it shifts chi(u(t)/t)
 only by a multiple of p and never enters the action, so every
@@ -164,9 +172,11 @@ def _flat_scan(chi, psi, budget, strict):
     """Raw unit of the lexicographically smallest candidate mapping chi
     to psi, or None.
 
-    The candidates [1, a_1, ..., a_(m-1), 0] run in lexicographic order.
-    strict adds the kernel condition, tested once per head a_1 .. a_l: a
-    head that fails it skips all of its extensions.
+    The candidates [1, a_1, ..., a_(m-1), 0] run in lexicographic order,
+    head a_1 .. a_l first.  A head whose unit layer misses psi's, that is
+    chi(E_j o u) mod p against psi's unit digit at some coprime j <= l,
+    skips all of its extensions, and so does a head that fails the kernel
+    condition, which strict adds.  Both tests read the head alone.
     """
     if chi.prime != psi.prime:
         raise ValueError("mismatched primes")
@@ -177,15 +187,19 @@ def _flat_scan(chi, psi, budget, strict):
         return None
     p = chi.prime.p
     require_budget(p, m, budget)
-    head = l if strict else 0
     xdig = [chi.value(k) % p for k in range(l + 1)]
+    ydig = [psi.value(k) % p for k in range(l + 1)]
     scanner = _ActionScanner(chi.prime, m)
     src, tgt = _weights(chi.coeffs, p, chi.prime.psq, m), psi.coeffs
-    for prefix in itertools.product(range(p), repeat=head):
-        if strict and _kernel_value_modp([1, *prefix], p, l, xdig):
+    for head in itertools.product(range(p), repeat=l):
+        z = [1, *head]
+        if strict and _kernel_value_modp(z, p, l, xdig):
             continue
-        for suffix in itertools.product(range(p), repeat=m - 1 - head):
-            z = [1, *prefix, *suffix, 0]
+        rows = _action_rows(z, p, l)
+        if any(_row_value(j, zj, xdig, p, p, l) != ydig[j] for j, zj in rows):
+            continue
+        for tail in itertools.product(range(p), repeat=m - 1 - l):
+            z = [1, *head, *tail, 0]
             if scanner.matches(z, src, tgt):
                 return z
     return None
@@ -265,7 +279,13 @@ def _join_reduced_forms(prime, l, m, strict):
     values at the coprime j = m - d, and keeps for each source the bitmask
     of targets that agree with it at every j compared so far.  Reduced
     forms have no unit digits below l, so one kernel test covers every
-    source; it reads only a_1 .. a_l and runs once at depth l.
+    source; it reads only a_1 .. a_l and runs once at depth l.  For the
+    same reason every form's acted value at a coprime j < l is x_l times
+    the strip digit of E_j o u at degree l, mod p, and every target's is
+    0 mod p.  That digit reads only a_1 .. a_(l-j), so at each depth
+    d < l with j = l - d coprime to p the walk reads it once for all
+    sources and prunes the subtree when it is nonzero: no leaf below can
+    reach a reduced form, strict or weak.
 
     The p children of a node share one row.  With z' the prefix of a
     child at depth d and j = m - d, z^j = z'^j + j*a_d*t^d mod t^(d+1), so
@@ -284,7 +304,8 @@ def _join_reduced_forms(prime, l, m, strict):
     a union ORs the target's class into the source's.  A node keeps the
     targets of each source that take the wanted value at j (by_val[j])
     and lie outside its class, and a subtree is pruned when its prefix
-    fails the kernel test or no mask is left.  The leaves union sources
+    fails the unit layer or the kernel test or no mask is left.  The
+    pruned leaves would join nothing, so the leaves union sources
     ascending, as a flat scan of every candidate would.  Returns (forms,
     label, witnesses), the forms in enumeration order and the witnesses
     as (source, target, element) triples, one per union, in that order.
@@ -298,6 +319,9 @@ def _join_reduced_forms(prime, l, m, strict):
     by_val = {j: {} for j in range(1, m + 1) if j % p}
     for (j, masks), k in itertools.product(by_val.items(), range(n)):
         masks[coeffs[k].get(j, 0)] = masks.get(coeffs[k].get(j, 0), 0) | 1 << k
+    # the unit digits of a form with x_l = 1: its unit-layer values are
+    # every form's, up to the factor x_l
+    unit = [0] * l + [1]
 
     # depth-first over prefixes z = [1, a_1, ..., a_d] on an explicit stack
     # (clear of the recursion limit), children pushed in reverse so a_(d+1)
@@ -310,6 +334,9 @@ def _join_reduced_forms(prime, l, m, strict):
         z, live, base = stack.pop()
         d = len(z) - 1
         j = m - d
+        if 0 < d < l and (l - d) % p:
+            if _row_value(l - d, _pow_raw(z, l - d, p, d), unit, p, p, l):
+                continue
         if strict and d == l and _kernel_root(z, p, l):
             continue
         if base is None:

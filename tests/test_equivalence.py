@@ -17,14 +17,16 @@ import tracemalloc
 import pytest
 
 from nottorsion import equivalence
-from nottorsion.acceptance import CriterionResult
+from nottorsion.acceptance import CriterionResult, _random_character_of_type
 from nottorsion.characters import (
     Character,
     CharType,
     ReducedForm,
     _action_row,
+    _action_rows,
     _basis_value,
     _pairing,
+    _row_value,
     break_sequence,
     char_act,
     char_eval,
@@ -463,8 +465,10 @@ def test_shared_row_matches_per_child_row(p, l, m):
 
 
 def test_partition_shares_rows_across_siblings(monkeypatch):
-    # one power of z per expanded node: a row per child would take 2,208
-    # powers at <5,17> over F_2 in the strict walk and 4,378 in the weak
+    # one power of z per expanded node, plus one per unit-layer test: a
+    # row per child would take 38 powers at <5,17> over F_2, strict or
+    # weak, where the walk takes 23, and 8,380 at weak <2,10> over F_5,
+    # where it takes 1,680
     calls = []
     real = equivalence._pow_raw
 
@@ -474,10 +478,74 @@ def test_partition_shares_rows_across_siblings(monkeypatch):
 
     monkeypatch.setattr(equivalence, "_pow_raw", counted)
     partition_reduced_forms(2, 5, 17)
-    assert len(calls) <= 1105
+    assert len(calls) <= 23
     calls.clear()
     assert weak_class_count(2, 5, 17) == 2
-    assert len(calls) <= 2189
+    assert len(calls) <= 23
+    calls.clear()
+    assert weak_class_count(5, 2, 10) == 20
+    assert len(calls) <= 1680
+
+
+@pytest.mark.parametrize(
+    "p, l, m",
+    [(2, 3, 9), (2, 5, 13), (2, 7, 15), (2, 9, 27), (3, 2, 8), (3, 4, 13),
+     (3, 5, 20), (5, 2, 11), (5, 3, 16), (7, 2, 15)],
+)
+def test_unit_layer_rejects_only_prefixes_that_miss(p, l, m):
+    # fast path against slow oracle: the walk and the pair scans read the
+    # acted value mod p at a coprime j < l from a_1 .. a_(l-j) alone, as
+    # _row_value on the source's unit digits mod p, and reject the prefix
+    # at depth l - j when it is not the target's.  Full extensions of the
+    # prefix, acted on by char_act, must take that value at j, so a
+    # rejected prefix has no extension that reaches the target.  Sources
+    # and targets are reduced forms or general characters of the type.
+    prime = as_prime(p)
+    rng = random.Random(1000 * p + m)
+    forms = [f.to_character() for f in enumerate_reduced_forms(p, l, m)]
+    coprime = [j for j in range(1, l) if j % p]
+    unit = [0] * l + [1]
+    rejected = 0
+    for _ in range(24):
+        chi, psi = (
+            rng.choice(forms) if rng.random() < 0.5 else _random_character_of_type(rng, p, l, m)
+            for _ in range(2)
+        )
+        xdig = [chi.value(k) % p for k in range(l + 1)]
+        j = rng.choice(coprime)
+        z = [1] + [rng.randrange(p) for _ in range(l - j)]
+        value = _row_value(j, _pow_raw(z, j, p, l - j), xdig, p, p, l)
+        # the walk's form for reduced sources, and the pair scans' head rows
+        if is_reduced(chi):
+            assert value == xdig[l] * _row_value(j, _pow_raw(z, j, p, l - j), unit, p, p, l) % p
+        head = z + [rng.randrange(p) for _ in range(j)]
+        rows = dict(_action_rows(head, p, l))
+        assert _row_value(j, rows[j], xdig, p, p, l) == value
+        rejects = value != psi.value(j) % p
+        rejected += rejects
+        for _ in range(4):
+            tail = [rng.randrange(p) for _ in range(m - l + j)]
+            acted = char_act(NottinghamElement.from_unit_coeffs(prime, [*z[1:], *tail]), chi)
+            assert acted.value(j) % p == value
+            if rejects:
+                assert acted.value(j) % p != psi.value(j) % p
+    assert rejected
+
+
+def test_walk_prunes_by_the_unit_layer(monkeypatch):
+    # the walk's shared rows are its only strips; comparing the unit layer
+    # only at depth m - j, strict <5,17> over F_2 stripped 1,104 of them,
+    # and testing it at depth l - j leaves 15
+    calls = []
+    real = equivalence._strip_run
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "_strip_run", counted)
+    assert count_classes(2, 5, 17) == 2
+    assert len(calls) <= 50
 
 
 @pytest.mark.parametrize(
@@ -498,6 +566,22 @@ def test_partition_union_order_past_the_naive_scan(p, l, m, strict, classes, uni
     assert len(set(label)) == classes
     assert len(found) == unions
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "p, l, m, want",
+    [(3, 4, 14, 36), (3, 4, 20, 36), (3, 5, 20, 36), (2, 9, 27, 4), (2, 11, 29, 2)],
+)
+def test_class_counts_with_an_explicit_budget(p, l, m, want):
+    # l >= p types whose nominal p^m cost the default budget refuses, but
+    # for <4,14>; the walk prunes each to about a second or less, so they
+    # run with the budget set to p^m.  Every merge carries a checked witness
+    rep = partition_reduced_forms(p, l, m, budget=p**m)
+    assert rep.class_count == want
+    for (i, j, elt) in rep.witnesses:
+        assert verify_witness(
+            rep.forms[i].to_character(), rep.forms[j].to_character(), elt
+        ).ok
 
 
 def test_walk_root_memory_when_p_divides_m():
@@ -731,6 +815,14 @@ def test_published_depth_2_weak_counts_over_f5(m, want):
     # these types have 7.8M to 156M characters, out of the oracle's reach
     assert type_2m_weak_class_count(5, m) == want
     assert weak_class_count(5, 2, m) == want
+
+
+@pytest.mark.parametrize("m, want", [(14, 42), (15, 36), (16, 252)])
+def test_published_depth_2_weak_counts_over_f7(m, want):
+    # the F_7 rows of the same table: 0.58 to 24 trillion characters, and
+    # the unit layer prunes six digits a_1 in seven at depth one
+    assert type_2m_weak_class_count(7, m) == want
+    assert weak_class_count(7, 2, m) == want
 
 
 def test_weak_counts_against_pairwise_search():
