@@ -1,11 +1,12 @@
-"""Brute-force equivalence oracles and closed-form class counts.
+"""Pruned, complete equivalence searches and closed-form class counts.
 
 Two surjective characters of the same break type <l, m> are strictly
 equivalent when some group element u maps one to the other by the
 precomposition action while keeping chi(u(t)/t) = 0 mod p; dropping the
-kernel condition gives weak equivalence.  The searches here exhaust the
-group modulo the subgroup acting trivially and are therefore complete:
-a miss is a proof of non-equivalence, subject only to the cost budget.
+kernel condition gives weak equivalence.  The searches here prune by the
+unit layer, the kernel test and compared values, never a candidate that
+could witness, so they are complete: a miss is a proof of
+non-equivalence, subject only to the cost budget.
 
 The action of u on a character of bound m reads only the unit
 coefficients a_1 .. a_(m-1) of u, and the kernel condition mod p reads
@@ -300,21 +301,21 @@ def _join_reduced_forms(prime, l, m, strict):
     with one power of z, strips it once and weighs the run once per live
     source, and its children only add the shift.
 
-    label[i] is the class of form i and members[x] the bitmask of class x;
-    a union ORs the target's class into the source's.  A node keeps the
-    targets of each source that take the wanted value at j (by_val[j])
-    and lie outside its class, and a subtree is pruned when its prefix
-    fails the unit layer or the kernel test or no mask is left.  The
-    pruned leaves would join nothing, so the leaves union sources
+    cls[i] is the member mask of form i's class: equal within a class,
+    disjoint across classes; a union gives both classes their OR.  A node
+    keeps the targets of each source that take the wanted value at j
+    (by_val[j]) and lie outside its class, and a subtree is pruned when
+    its prefix fails the unit layer or the kernel test or no mask is left.
+    The pruned leaves would join nothing, so the leaves union sources
     ascending, as a flat scan of every candidate would.  Returns (forms,
-    label, witnesses), the forms in enumeration order and the witnesses
-    as (source, target, element) triples, one per union, in that order.
+    cls, witnesses), the forms in enumeration order and the witnesses as
+    (source, target, element) triples, one per union, in that order.
     """
     p, psq = prime.p, prime.psq
     forms = list(enumerate_reduced_forms(prime, l, m))
     coeffs = [f.to_character().coeffs for f in forms]
     n = len(forms)
-    label, members, witnesses = list(range(n)), [1 << i for i in range(n)], []
+    cls, witnesses = [1 << i for i in range(n)], []
     weights = [_weights(c, p, psq, m) for c in coeffs]
     by_val = {j: {} for j in range(1, m + 1) if j % p}
     for (j, masks), k in itertools.product(by_val.items(), range(n)):
@@ -340,10 +341,10 @@ def _join_reduced_forms(prime, l, m, strict):
         if strict and d == l and _kernel_root(z, p, l):
             continue
         if base is None:
-            live = {i: r for i, mask in live.items() if (r := mask & ~members[label[i]])}
+            live = {i: r for i, mask in live.items() if (r := mask & ~cls[i])}
         else:
             step, vals = (j * z[d] if d else 0), by_val[j]
-            live = {i: r for i, mask in live.items() if (r := mask & ~members[label[i]]
+            live = {i: r for i, mask in live.items() if (r := mask & ~cls[i]
                     & vals.get((base[i] + step * weights[i][m]) % psq, 0))}
         if not live:
             continue
@@ -357,14 +358,13 @@ def _join_reduced_forms(prime, l, m, strict):
         # each mask holds one bit, since distinct forms differ at some coprime j
         for i, mask in live.items():
             k = mask.bit_length() - 1
-            if label[i] != label[k]:
-                old = label[k]
-                members[label[i]] |= members[old]
-                label = [label[i] if x == old else x for x in label]
+            if not cls[i] >> k & 1:
+                joined = cls[i] | cls[k]
+                cls = [joined if c & joined else c for c in cls]
                 witnesses.append((i, k, NottinghamElement.from_unit_coeffs(prime, [*z[1:], 0])))
         if len(witnesses) == n - 1:
             break
-    return forms, label, witnesses
+    return forms, cls, witnesses
 
 
 def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassReport:
@@ -379,11 +379,9 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
     p = prime.p
     require_valid_type(prime, l, m)
     require_budget(p, m, budget)
-    forms, label, witnesses = _join_reduced_forms(prime, l, m, strict=True)
-    groups = {}
-    for i, x in enumerate(label):
-        groups.setdefault(x, []).append(i)
-    classes = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
+    forms, cls, witnesses = _join_reduced_forms(prime, l, m, strict=True)
+    # disjoint classes, so the tuple sort orders them by first member
+    classes = sorted(tuple(i for i in range(c.bit_length()) if c >> i & 1) for c in set(cls))
     return ClassReport(
         prime=prime,
         l=l,

@@ -406,6 +406,19 @@ def naive_partition(p, l, m, strict=True):
     return classes, witnesses
 
 
+def mask_classes(cls):
+    """Check the walk's class format, one mask per form, and return the
+    classes the masks hold as sorted index tuples, sorted."""
+    n = len(cls)
+    assert all(cls[i] >> i & 1 for i in range(n))
+    for i, k in itertools.product(range(n), repeat=2):
+        assert (cls[i] == cls[k]) == bool(cls[i] >> k & 1), (i, k)
+    distinct = set(cls)
+    assert all(not a & b for a, b in itertools.combinations(distinct, 2))
+    assert functools.reduce(int.__or__, distinct) == (1 << n) - 1
+    return sorted(tuple(i for i in range(n) if c >> i & 1) for c in distinct)
+
+
 @pytest.mark.parametrize(
     "p, l, m",
     [(2, 3, 6), (2, 3, 11), (2, 5, 10), (2, 5, 11), (3, 1, 4), (3, 2, 6),
@@ -423,12 +436,9 @@ def test_partition_visit_order_matches_naive_scan(p, l, m):
     ] == witnesses
     # the weak walk against the scan without the kernel test; its
     # witnesses move the forms, and only the kernel may fail
-    forms, label, found = _join_reduced_forms(as_prime(p), l, m, strict=False)
+    forms, cls, found = _join_reduced_forms(as_prime(p), l, m, strict=False)
     classes, witnesses = naive_partition(p, l, m, strict=False)
-    groups = {}
-    for i, x in enumerate(label):
-        groups.setdefault(x, []).append(i)
-    assert sorted(tuple(g) for g in groups.values()) == classes
+    assert mask_classes(cls) == classes
     assert [(i, j, format_nottingham_product(elt)) for i, j, elt in found] == witnesses
     for i, j, elt in found:
         check = verify_witness(forms[i].to_character(), forms[j].to_character(), elt)
@@ -561,9 +571,10 @@ def test_walk_prunes_by_the_unit_layer(monkeypatch):
 def test_partition_union_order_past_the_naive_scan(p, l, m, strict, classes, unions, digest):
     # types too large for naive_partition: the class count, the unions and
     # the witness texts in union order are pinned from the pair-tuple walk
-    _, label, found = _join_reduced_forms(as_prime(p), l, m, strict=strict)
+    _, cls, found = _join_reduced_forms(as_prime(p), l, m, strict=strict)
     text = "\n".join("%d %d %s" % (i, k, format_nottingham_product(e)) for i, k, e in found)
-    assert len(set(label)) == classes
+    assert len(set(cls)) == classes
+    mask_classes(cls)
     assert len(found) == unions
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
