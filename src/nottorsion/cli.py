@@ -171,6 +171,11 @@ def cmd_classify(args):
     rep, ms = _timed(partition_reduced_forms, args.p, args.l, args.m, budget=args.budget)
     chars = [format_character_literal(f.to_character()) for f in rep.forms]
     witnesses = [(i, j, format_nottingham_product(e)) for i, j, e in rep.witnesses]
+    # each class's witnesses, by source, in union order
+    class_of = {i: k for k, cls in enumerate(rep.classes) for i in cls}
+    grouped = [[] for _ in rep.classes]
+    for i, j, text in witnesses:
+        grouped[class_of[i]].append({"source": i, "target": j, "element": text})
     doc = {
         "p": args.p, "l": args.l, "m": args.m, "bound": rep.bound,
         "class_count": rep.class_count, "search_space_size": rep.search_space_size,
@@ -180,9 +185,8 @@ def cmd_classify(args):
             "members": [{"x_l": rep.forms[i].x_l,
                          "b": {str(j): v for j, v in sorted(rep.forms[i].b.items())},
                          "character": chars[i]} for i in cls],
-            "witnesses": [{"source": i, "target": j, "element": text}
-                          for i, j, text in witnesses if i in cls],
-        } for cls in rep.classes],
+            "witnesses": grouped[k],
+        } for k, cls in enumerate(rep.classes)],
     }
     lines = [
         "type <%(l)d,%(m)d> over F_%(p)d: %(bound)d reduced forms, "

@@ -268,6 +268,14 @@ class ClassReport(_Value):
         return self.forms[self.classes[class_index][0]]
 
 
+def _members(mask):
+    """The set bits of mask, ascending: the members of a class mask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _join_reduced_forms(prime, l, m, strict):
     """Join the reduced forms of <l, m> into classes; strict turns the
     kernel test on.
@@ -302,24 +310,29 @@ def _join_reduced_forms(prime, l, m, strict):
     source, and its children only add the shift.
 
     cls[i] is the member mask of form i's class: equal within a class,
-    disjoint across classes; a union gives both classes their OR.  A node
-    keeps the targets of each source that take the wanted value at j
+    disjoint across classes.  A union writes the OR of the two masks to
+    the members of both classes, read off with `_members`, and touches no
+    other form's mask, so its cost is the size of the joined class.  A
+    node keeps the targets of each source that take the wanted value at j
     (by_val[j]) and lie outside its class, and a subtree is pruned when
     its prefix fails the unit layer or the kernel test or no mask is left.
     The pruned leaves would join nothing, so the leaves union sources
-    ascending, as a flat scan of every candidate would.  Returns (forms,
-    cls, witnesses), the forms in enumeration order and the witnesses as
-    (source, target, element) triples, one per union, in that order.
+    ascending, as a flat scan of every candidate would.  The walk runs
+    until its stack is empty.  It has no exit at one class: for p >= 3 the
+    action keeps x_l, so forms with different x_l never join, and over F_2
+    every node after the last union finds no mask left and is pruned.
+    Returns (forms, cls, witnesses), the forms in enumeration order and
+    the witnesses as (source, target, element) triples, one per union, in
+    that order.
     """
     p, psq = prime.p, prime.psq
     forms = list(enumerate_reduced_forms(prime, l, m))
-    coeffs = [f.to_character().coeffs for f in forms]
     n = len(forms)
     cls, witnesses = [1 << i for i in range(n)], []
-    weights = [_weights(c, p, psq, m) for c in coeffs]
+    weights = [_weights(f.to_character().coeffs, p, psq, m) for f in forms]
     by_val = {j: {} for j in range(1, m + 1) if j % p}
     for (j, masks), k in itertools.product(by_val.items(), range(n)):
-        masks[coeffs[k].get(j, 0)] = masks.get(coeffs[k].get(j, 0), 0) | 1 << k
+        masks[weights[k][j]] = masks.get(weights[k][j], 0) | 1 << k
     # the unit digits of a form with x_l = 1: its unit-layer values are
     # every form's, up to the factor x_l
     unit = [0] * l + [1]
@@ -360,10 +373,9 @@ def _join_reduced_forms(prime, l, m, strict):
             k = mask.bit_length() - 1
             if not cls[i] >> k & 1:
                 joined = cls[i] | cls[k]
-                cls = [joined if c & joined else c for c in cls]
+                for member in _members(joined):
+                    cls[member] = joined
                 witnesses.append((i, k, NottinghamElement.from_unit_coeffs(prime, [*z[1:], 0])))
-        if len(witnesses) == n - 1:
-            break
     return forms, cls, witnesses
 
 
@@ -381,7 +393,7 @@ def partition_reduced_forms(p, l, m, budget: int = DEFAULT_BUDGET) -> ClassRepor
     require_budget(p, m, budget)
     forms, cls, witnesses = _join_reduced_forms(prime, l, m, strict=True)
     # disjoint classes, so the tuple sort orders them by first member
-    classes = sorted(tuple(i for i in range(c.bit_length()) if c >> i & 1) for c in set(cls))
+    classes = sorted(tuple(_members(c)) for c in set(cls))
     return ClassReport(
         prime=prime,
         l=l,
@@ -410,6 +422,17 @@ def weak_class_count(p, l, m) -> int:
     components, so the count is the number of forms less the unions.
     Unlike the partition it takes no budget; its cost is the nodes the
     walk visits, at most about p^(m-1).
+
+    The weak classes are the orbits of one move on the d strict classes.
+    Let delta(u) be the exponent of E_l, mod p, in the greedy run of u's
+    unit part (`_kernel_root`).  A character with no unit digit below l
+    has kernel value chi(u(t)/t) = x_l*delta(u) mod p.  Every move between
+    reduced forms lies in the subgroup H of elements that keep "no unit
+    digit below l", and delta is additive on H, though not on the whole
+    group.  s = t(1 + t^l) lies in H with delta(s) = 1, so every weak move
+    is s^c followed by a strict move, and sigma: [f] -> [reduce(f o s)] is a
+    well-defined permutation of the strict classes with sigma^p = 1.  So
+    w = fix(sigma) + (d - fix(sigma))/p.
     """
     prime = as_prime(p)
     require_valid_type(prime, l, m)

@@ -43,6 +43,7 @@ from nottorsion.equivalence import (
     ClassReport,
     _ActionScanner,
     _join_reduced_forms,
+    _members,
     bound_exponents,
     count_classes,
     order_p_class_count,
@@ -565,8 +566,12 @@ def test_walk_prunes_by_the_unit_layer(monkeypatch):
      (3, 4, 13, True, 12, 24,
       "b7edb2a8cb2d4c407947c2dbe05398f2e4029d2151b3f4ceeecc5d1b7adb6aaa"),
      (5, 2, 10, False, 20, 80,
-      "2e08b14094f0f48f5e0249933cc64ed7d5d2604935b75a31f94ce7fa86469409")],
-    ids=["strict-2-9-19", "strict-3-4-13", "weak-5-2-10"],
+      "2e08b14094f0f48f5e0249933cc64ed7d5d2604935b75a31f94ce7fa86469409"),
+     # 512 forms joined by 511 unions, each of which rewrites the members
+     # of the two classes it joins
+     (2, 17, 34, False, 1, 511,
+      "85c5ed6356b95125caa9ee197df83fa1bf8d16120ea1a342f4ece53af2585ebb")],
+    ids=["strict-2-9-19", "strict-3-4-13", "weak-5-2-10", "weak-2-17-34"],
 )
 def test_partition_union_order_past_the_naive_scan(p, l, m, strict, classes, unions, digest):
     # types too large for naive_partition: the class count, the unions and
@@ -593,6 +598,14 @@ def test_class_counts_with_an_explicit_budget(p, l, m, want):
         assert verify_witness(
             rep.forms[i].to_character(), rep.forms[j].to_character(), elt
         ).ok
+
+
+@pytest.mark.parametrize(
+    "mask, members",
+    [(0, ()), (0b1011, (0, 1, 3)), (1 << 300 | 1, (0, 300))],
+)
+def test_members_lists_the_set_bits_ascending(mask, members):
+    assert tuple(_members(mask)) == members
 
 
 def test_walk_root_memory_when_p_divides_m():
@@ -806,6 +819,34 @@ def orbit_weak_class_count(p, l, m):
     return len({find(i) for i in range(len(chars))})
 
 
+def sigma_weak_class_count(p, l, m):
+    """Weak class count from the strict partition and the move
+    s = t(1 + t^l): w = fix(sigma) + (d - fix(sigma))/p, where sigma sends
+    the class of f to that of reduce(f o s).
+
+    Checks on the way that each step's element, s followed by the
+    reduction's witness, moves f onto the reduced form under char_act,
+    and that sigma is a permutation of the d classes with sigma^p = 1.
+    """
+    rep = partition_reduced_forms(p, l, m, budget=p**m)
+    class_of = {rep.forms[i]: k for k, members in enumerate(rep.classes) for i in members}
+    s = NottinghamElement.from_unit_coeffs(p, [0] * (l - 1) + [1] + [0] * (m - l))
+    sigma = []
+    for k in range(rep.class_count):
+        f = rep.representative(k).to_character()
+        form, w = reduce(char_act(s, f))
+        assert char_act(nott_compose(w.element, s), f) == form.to_character()
+        sigma.append(class_of[form])
+    d = rep.class_count
+    assert sorted(sigma) == list(range(d))
+    power = list(range(d))
+    for _ in range(p):
+        power = [sigma[k] for k in power]
+    assert power == list(range(d))
+    fixed = sum(k == image for k, image in enumerate(sigma))
+    return fixed + (d - fixed) // p
+
+
 @pytest.mark.parametrize(
     "p, l, m",
     [(3, 2, 6), (3, 2, 7), (3, 2, 8), (3, 2, 10), (3, 1, 4), (3, 1, 5),
@@ -816,8 +857,22 @@ def orbit_weak_class_count(p, l, m):
 )
 def test_weak_class_count_matches_orbit_oracle(p, l, m):
     # the walk counts the weak classes of the reduced forms; the oracle
-    # counts the orbits of every character under the generators
-    assert weak_class_count(p, l, m) == orbit_weak_class_count(p, l, m)
+    # counts the orbits of every character under the generators, and
+    # sigma's orbits on the strict classes give the same count
+    want = orbit_weak_class_count(p, l, m)
+    assert weak_class_count(p, l, m) == want
+    assert sigma_weak_class_count(p, l, m) == want
+
+
+@pytest.mark.parametrize(
+    "p, l, m",
+    [(3, 4, 13), (3, 4, 14), (3, 5, 16), (5, 2, 10), (5, 2, 11), (7, 2, 15)],
+)
+def test_weak_classes_are_the_orbits_of_s_on_strict_classes(p, l, m):
+    # types past the orbit oracle's reach: each step of sigma, s followed
+    # by reduce's witness, moves f onto the reduced form, and sigma's
+    # orbits on the strict classes are the walk's weak classes
+    assert sigma_weak_class_count(p, l, m) == weak_class_count(p, l, m)
 
 
 @pytest.mark.parametrize("m, want", [(10, 20), (11, 16), (12, 80)])

@@ -69,6 +69,15 @@ def test_witness_requires_kernel_multiple_of_p():
         Witness(u, 5)
 
 
+@pytest.mark.parametrize(
+    "element", [None, UnitSeries(3, [0, 1, 0, 0]), "t*(1+t^2)"],
+    ids=["none", "unit-series", "text"],
+)
+def test_witness_requires_a_group_element(element):
+    with pytest.raises(ValueError, match="witness element must be a NottinghamElement"):
+        Witness(element, 0)
+
+
 def test_witness_serializes_as_product():
     u = parse_nottingham("t*(1+t^2)*(1+t^4)^2", 3, 4)
     assert Witness(u, 0).to_text() == "t*(1+t^2)*(1+t^4)^2"

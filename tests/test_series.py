@@ -7,10 +7,12 @@ hand-checked computations frozen as constants.
 
 import math
 import random
+import re
 
 import pytest
 
 from nottorsion.series import (
+    ExponentVector,
     NottinghamElement,
     ParseError,
     Prime,
@@ -347,6 +349,43 @@ def test_parse_unit_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.offset is not None
+
+
+def test_parse_unit_reads_t0_as_a_constant_term():
+    # 2 + 2*t^0 is 4 = 1 mod 3; without the t^0 term the constant is 2
+    assert parse_unit("2+2*t^0+t", 3) == UnitSeries(3, [1])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: UnitSeries.basis(2, 5, 4), "basis index 5 outside 1..4"),
+        (lambda: UnitSeries.basis(2, 0, 4), "basis index 0 outside 1..4"),
+        (lambda: UnitSeries(3, [1, 2]).coefficient(3), "degree 3 outside tracked range"),
+        (lambda: UnitSeries(3, [1, 2]).coefficient(-1), "degree -1 outside tracked range"),
+        (lambda: UnitSeries(3, [1, 2]).at_precision(0), "precision must be >= 1"),
+        (lambda: NottinghamElement(3, (1, 2)), "unit part must be a UnitSeries"),
+        (lambda: NottinghamElement(3, UnitSeries(5, [1])), "unit part has mismatched prime"),
+        (lambda: ExponentVector(3, 0, {}), "bound must be >= 1"),
+        (lambda: ExponentVector(3, 4, {5: 1}), "index 5 outside 1..4"),
+        (lambda: ExponentVector(3, 4, {0: 1}), "index 0 outside 1..4"),
+        (lambda: ExponentVector(3, 4, {3: 1}), "index 3 divisible by p=3"),
+        (lambda: nott_compose(NottinghamElement.identity(3, 4), NottinghamElement.identity(3, 5)),
+         "mismatched precisions: 4 vs 5"),
+        (lambda: unit_decompose(UnitSeries(3, [1, 2]), 0), "depth must be >= 1"),
+        (lambda: unit_recompose(ExponentVector(3, 4, {1: 1}), 3),
+         "precision 3 below exponent bound 4"),
+        (lambda: parse_unit("1+t", 3, 0), "precision must be >= 1"),
+    ],
+    ids=["basis-above", "basis-zero", "coefficient-above", "coefficient-negative",
+         "at-precision-0", "element-non-unit", "element-prime", "exponents-bound",
+         "exponents-above", "exponents-zero", "exponents-divisible", "compose-precisions",
+         "decompose-depth-0", "recompose-below-bound", "parse-unit-precision-0"],
+)
+def test_series_entry_points_refuse_bad_arguments(call, message):
+    # a ParseError is a ValueError, so one check covers both
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_parse_nottingham_and_product_form():
