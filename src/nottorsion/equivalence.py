@@ -23,13 +23,15 @@ acted value at j reads only a_1 .. a_(m-j), so the walk compares values
 as soon as their digits are fixed, and it prunes a prefix that can join
 no two classes still apart.  Reduced forms have no unit digit below l,
 so the walk also prunes, at depth d < l, a prefix whose unit-layer value
-at j = l - d is nonzero.  The p children of a node differ only in the
-last strip of their row, which reduced forms see as a multiple of p, so
-they share one row: the walk computes one power of z per node it
-expands, not one per node it visits.  At <5,17> over F_2 the walk visits
-57 nodes of the 2^16 candidates and computes 23 powers.  With the kernel
-test it gives the strict classes of the reduced forms, without it the
-weak classes of the type.
+at j = l - d is nonzero, and since the action keeps x_l it pairs each
+form from the root only with the forms that share its x_l.  The p
+children of a node differ only in the last strip of their row, which
+reduced forms see as a multiple of p, so they share one row: the walk
+computes one power of z per node it expands, not one per node it
+visits.  At <5,17> over F_2 the walk visits 57 nodes of the 2^16
+candidates and computes 23 powers.  With the kernel test it gives the
+strict classes of the reduced forms, without it the weak classes of the
+type.
 
 The trailing coefficient a_m is pinned to zero: it shifts chi(u(t)/t)
 only by a multiple of p and never enters the action, so every
@@ -294,7 +296,15 @@ def _join_reduced_forms(prime, l, m, strict):
     0 mod p.  That digit reads only a_1 .. a_(l-j), so at each depth
     d < l with j = l - d coprime to p the walk reads it once for all
     sources and prunes the subtree when it is nonzero: no leaf below can
-    reach a reduced form, strict or weak.
+    reach a reduced form, strict or weak.  At j = l the strip digit of
+    E_l o u at degree l is 1, so every form's acted value at l is its own
+    x_l mod p, under every u: the action keeps x_l.  The walk therefore
+    seeds each source's root mask with the forms that share its x_l, not
+    with every form.  The pairs it leaves out differ at j = l and would
+    die at depth m - l, before any leaf, so the leaves, the union order
+    and the witnesses are the same as with every form live at the root;
+    only the subtrees kept alive by those pairs alone go.  Over F_2 every
+    form has x_l = 1 and the seed is every form.
 
     The p children of a node share one row.  With z' the prefix of a
     child at depth d and j = m - d, z^j = z'^j + j*a_d*t^d mod t^(d+1), so
@@ -319,7 +329,7 @@ def _join_reduced_forms(prime, l, m, strict):
     The pruned leaves would join nothing, so the leaves union sources
     ascending, as a flat scan of every candidate would.  The walk runs
     until its stack is empty.  It has no exit at one class: for p >= 3 the
-    action keeps x_l, so forms with different x_l never join, and over F_2
+    seed keeps forms with different x_l apart from the root, and over F_2
     every node after the last union finds no mask left and is pruned.
     Returns (forms, cls, witnesses), the forms in enumeration order and
     the witnesses as (source, target, element) triples, one per union, in
@@ -336,13 +346,18 @@ def _join_reduced_forms(prime, l, m, strict):
     # the unit digits of a form with x_l = 1: its unit-layer values are
     # every form's, up to the factor x_l
     unit = [0] * l + [1]
+    # the root masks: the action keeps x_l, so a form can only join the
+    # forms that share it
+    same_x = {}
+    for i, f in enumerate(forms):
+        same_x[f.x_l] = same_x.get(f.x_l, 0) | 1 << i
 
     # depth-first over prefixes z = [1, a_1, ..., a_d] on an explicit stack
     # (clear of the recursion limit), children pushed in reverse so a_(d+1)
     # pops ascending; live maps each source, ascending, to its mask of
     # targets still matching in other classes, and base to its acted value
     # at j = m - d with a_d = 0 (the root's row is E_m), or is None if p | j.
-    stack = [([1], dict.fromkeys(range(n), (1 << n) - 1),
+    stack = [([1], {i: same_x[f.x_l] for i, f in enumerate(forms)},
               {i: w[m] for i, w in enumerate(weights)} if m % p else None)]
     while stack:
         z, live, base = stack.pop()
@@ -421,7 +436,9 @@ def weak_class_count(p, l, m) -> int:
     the partition's walk with the kernel test off.  Each union joins two
     components, so the count is the number of forms less the unions.
     Unlike the partition it takes no budget; its cost is the nodes the
-    walk visits, at most about p^(m-1).
+    walk visits.  That is at most about p^(m-1), but a subtree lives only
+    while two forms of one x_l still agree on it, so at <4,26> over F_3,
+    with 3^25 candidates, the walk computes 409 powers of z.
 
     The weak classes are the orbits of one move on the d strict classes.
     Let delta(u) be the exponent of E_l, mod p, in the greedy run of u's

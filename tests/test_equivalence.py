@@ -478,8 +478,9 @@ def test_shared_row_matches_per_child_row(p, l, m):
 def test_partition_shares_rows_across_siblings(monkeypatch):
     # one power of z per expanded node, plus one per unit-layer test: a
     # row per child would take 38 powers at <5,17> over F_2, strict or
-    # weak, where the walk takes 23, and 8,380 at weak <2,10> over F_5,
-    # where it takes 1,680
+    # weak, where the walk takes 23; at weak <2,10> over F_5 a row per
+    # child took 8,380 and shared rows 1,680 before the x_l seed, which
+    # brings them to 93
     calls = []
     real = equivalence._pow_raw
 
@@ -495,7 +496,26 @@ def test_partition_shares_rows_across_siblings(monkeypatch):
     assert len(calls) <= 23
     calls.clear()
     assert weak_class_count(5, 2, 10) == 20
-    assert len(calls) <= 1680
+    assert len(calls) <= 93
+
+
+@pytest.mark.parametrize("strict, classes", [(True, 36), (False, 12)])
+def test_walk_seeds_each_form_with_its_x_l(monkeypatch, strict, classes):
+    # the action keeps x_l, so each form starts with only the forms that
+    # share it; with every form live at the root, <4,26> over F_3 took
+    # 303,347 powers of z strict and 961,597 weak, and the seeded walk
+    # takes 348 and 409
+    calls = []
+    real = equivalence._pow_raw
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "_pow_raw", counted)
+    _, cls, _ = _join_reduced_forms(as_prime(3), 4, 26, strict=strict)
+    assert len(set(cls)) == classes
+    assert len(calls) <= 1000
 
 
 @pytest.mark.parametrize(
@@ -570,12 +590,23 @@ def test_walk_prunes_by_the_unit_layer(monkeypatch):
      # 512 forms joined by 511 unions, each of which rewrites the members
      # of the two classes it joins
      (2, 17, 34, False, 1, 511,
-      "85c5ed6356b95125caa9ee197df83fa1bf8d16120ea1a342f4ece53af2585ebb")],
-    ids=["strict-2-9-19", "strict-3-4-13", "weak-5-2-10", "weak-2-17-34"],
+      "85c5ed6356b95125caa9ee197df83fa1bf8d16120ea1a342f4ece53af2585ebb"),
+     # p >= 3 types pinned from the walk before its x_l seed, which must
+     # leave the union order as it was
+     (3, 4, 20, True, 36, 72,
+      "b3f5c0a4ad46af895d2dadca7cf268290d790ac3838e29afa4d8107586ba5cd2"),
+     (3, 4, 14, False, 12, 96,
+      "b52c04484ca7229475fec9f0cc473ffbb5a4be3092df428b6d8cce130c902f6e"),
+     (5, 2, 11, False, 16, 64,
+      "7712e0ee25e98f23856eb70ebf93bbe97a011ab82dcdbb1e0346dc8c7329f750"),
+     (7, 2, 15, False, 36, 216,
+      "80c9c9318a42707f86153e0e86728068a8913dbe291d0768578015ad91cc7ca6")],
+    ids=["strict-2-9-19", "strict-3-4-13", "weak-5-2-10", "weak-2-17-34",
+         "strict-3-4-20", "weak-3-4-14", "weak-5-2-11", "weak-7-2-15"],
 )
 def test_partition_union_order_past_the_naive_scan(p, l, m, strict, classes, unions, digest):
     # types too large for naive_partition: the class count, the unions and
-    # the witness texts in union order are pinned from the pair-tuple walk
+    # the witness texts in union order are pinned from earlier walks
     _, cls, found = _join_reduced_forms(as_prime(p), l, m, strict=strict)
     text = "\n".join("%d %d %s" % (i, k, format_nottingham_product(e)) for i, k, e in found)
     assert len(set(cls)) == classes
@@ -586,12 +617,13 @@ def test_partition_union_order_past_the_naive_scan(p, l, m, strict, classes, uni
 
 @pytest.mark.parametrize(
     "p, l, m, want",
-    [(3, 4, 14, 36), (3, 4, 20, 36), (3, 5, 20, 36), (2, 9, 27, 4), (2, 11, 29, 2)],
+    [(3, 4, 14, 36), (3, 4, 20, 36), (3, 5, 20, 36), (2, 9, 27, 4), (2, 11, 29, 2),
+     (3, 4, 26, 36), (3, 4, 44, 36), (3, 7, 29, 108)],
 )
 def test_class_counts_with_an_explicit_budget(p, l, m, want):
     # l >= p types whose nominal p^m cost the default budget refuses, but
-    # for <4,14>; the walk prunes each to about a second or less, so they
-    # run with the budget set to p^m.  Every merge carries a checked witness
+    # for <4,14>; the walk prunes each to under a second, so they run
+    # with the budget set to p^m.  Every merge carries a checked witness
     rep = partition_reduced_forms(p, l, m, budget=p**m)
     assert rep.class_count == want
     for (i, j, elt) in rep.witnesses:
