@@ -421,6 +421,8 @@ def scalar_mul(n: int, chi: Character) -> Character:
 
 
 def _type_choice_lists(p, l, m):
+    """The indices a character of type <l, m> carries, ascending, and the
+    values each index may take, as ranges and tuples."""
     prime = as_prime(p)
     p = prime.p
     require_valid_type(prime, l, m)
@@ -430,7 +432,7 @@ def _type_choice_lists(p, l, m):
         if j < l:
             choices.append(range(prime.psq))
         elif j == l:
-            choices.append([v for v in range(prime.psq) if v % p])
+            choices.append(tuple(v for v in range(prime.psq) if v % p))
         elif j < m:
             choices.append(range(0, prime.psq, p))
         else:  # j == m, only reached when p does not divide m

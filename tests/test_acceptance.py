@@ -10,10 +10,19 @@ bound B, and there B is p times too small for the identity: strict 12,
 p*weak 36.  The expected values come from the closed forms, so the test
 fails if a count moves, if a table check breaks, or if the identity
 ever passes there, which would mean a strict count above the bound.
+
+Criterion 6's forked workers are held to the in-process path, which
+runs when one CPU is available: equal results under a frozen clock,
+faults that reach the caller, and no child left after any run.
 """
 
 import json
+import os
 import random
+import select
+import time
+
+import pytest
 
 from nottorsion import acceptance
 from nottorsion.characters import _type_choice_lists, break_sequence
@@ -109,6 +118,126 @@ def test_criterion_6_counts_failures(monkeypatch, capsys):
     assert not ok and ", 0 failures" not in roundtrip, "\n" + block
     assert all(ok and ": 20 cases, 0 failures (" in text for ok, text in others), "\n" + block
     assert not doc["passed"], "\n" + block
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_workers(monkeypatch):
+    """Count the forks and the peak of children alive at once, as the
+    parent sees them: forks add one, waitpid takes one away."""
+    seen = {"forks": 0, "alive": 0, "peak": 0}
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            seen["forks"] += 1
+            seen["alive"] += 1
+            seen["peak"] = max(seen["peak"], seen["alive"])
+        return pid
+
+    def counted_waitpid(pid, options):
+        out = waitpid(pid, options)
+        seen["alive"] -= 1
+        return out
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    return seen
+
+
+def test_criterion_6_forked_matches_in_process(monkeypatch):
+    # with the clock frozen a result holds only the suites' outcomes; a
+    # case that also fails on about a fifth of its draws gives each suite
+    # its own failure count, so a suite reported in the wrong place shows
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    monkeypatch.setattr(acceptance, "PROPERTY_CASES", 250)
+    flaky = tuple(
+        (name, lambda rng, case=case: case(rng) and rng.random() < 0.8)
+        for name, case in acceptance.PROPERTY_SUITES
+    )
+    seen = _count_workers(monkeypatch)
+    for suites in (acceptance.PROPERTY_SUITES, flaky):
+        monkeypatch.setattr(acceptance, "PROPERTY_SUITES", suites)
+        for seed in (acceptance.DEFAULT_SEED, 1401):
+            monkeypatch.setattr(acceptance, "_available_cpus", lambda: 1)
+            want = acceptance.run_criterion_6(seed=seed)
+            assert seen["forks"] == 0
+            for cpus in (2, 16):
+                monkeypatch.setattr(acceptance, "_available_cpus", lambda: cpus)
+                assert acceptance.run_criterion_6(seed=seed) == want, (seed, cpus)
+                # one child per suite, at most one per CPU and 8 at a time
+                assert (seen["forks"], seen["peak"], seen["alive"]) == (8, min(cpus, 8), 0)
+                seen.update(forks=0, peak=0)
+            _assert_no_child_left()
+    fails = [int(text.split(", ")[1].split()[0]) for _, text in want.checks[:8]]
+    assert len(set(fails)) > 4 and 0 not in fails, want.checks
+
+
+def _with_case(monkeypatch, offset, case):
+    suites = list(acceptance.PROPERTY_SUITES)
+    suites[offset] = (suites[offset][0], case)
+    monkeypatch.setattr(acceptance, "PROPERTY_SUITES", tuple(suites))
+
+
+def _broken(rng):
+    raise RuntimeError("broken case")
+
+
+def test_criterion_6_worker_faults_reach_the_caller(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "PROPERTY_CASES", 20)
+    monkeypatch.setattr(acceptance, "_available_cpus", lambda: 2)
+    assert acceptance.run_criterion_6().passed
+    _assert_no_child_left()
+    _with_case(monkeypatch, 5, _broken)
+    with pytest.raises(RuntimeError, match="^broken case$"):
+        acceptance.run_criterion_6()
+    _assert_no_child_left()
+    # the CLI reports it as it does a fault raised in-process
+    for cpus in (2, 1):
+        monkeypatch.setattr(acceptance, "_available_cpus", lambda: cpus)
+        assert main(["verify", "--only", "6"]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "verification failure: broken case\n")
+        _assert_no_child_left()
+
+
+def test_criterion_6_worker_without_a_result_is_a_fault(monkeypatch):
+    monkeypatch.setattr(acceptance, "PROPERTY_CASES", 20)
+    monkeypatch.setattr(acceptance, "_available_cpus", lambda: 2)
+    _with_case(monkeypatch, 3, lambda rng: os._exit(3))
+    with pytest.raises(RuntimeError, match="'action contravariance': worker exited with status 3"):
+        acceptance.run_criterion_6()
+    _assert_no_child_left()
+
+
+def test_criterion_6_kills_its_workers_on_a_fault_or_an_interrupt(monkeypatch):
+    # a worker that would run for a minute is killed, not waited for,
+    # when another suite raises or the parent is interrupted
+    def stuck(rng):
+        time.sleep(60)
+        os._exit(1)
+
+    monkeypatch.setattr(acceptance, "_available_cpus", lambda: 2)
+    started = time.monotonic()
+    _with_case(monkeypatch, 0, _broken)
+    _with_case(monkeypatch, 1, stuck)
+    with pytest.raises(RuntimeError, match="broken case"):
+        acceptance.run_criterion_6()
+    _assert_no_child_left()
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    _with_case(monkeypatch, 0, stuck)
+    monkeypatch.setattr(select, "select", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        acceptance.run_criterion_6()
+    _assert_no_child_left()
+    assert time.monotonic() - started < 30
 
 
 def test_run_all_returns_each_criterion_in_order(monkeypatch):

@@ -22,7 +22,11 @@ CLI's output formats in one emitter: `dumps` is named only inside
 library's records free of the wall clock: `perf_counter` is named only
 inside `cli._timed`, which times the library's work for the CLI's
 documents, and inside criteria 1 and 6 of `acceptance`, whose checks
-state an elapsed time against a limit.
+state an elapsed time against a limit, and `acceptance._run_suite`,
+which times one of criterion 6's property suites.  Finally it keeps
+processes out of the library but for one place: `fork` is named only
+inside `acceptance._fork_suite`, which starts one property suite's
+worker.
 """
 
 import ast
@@ -178,7 +182,8 @@ CONFINED = {
     "_decompose_raw": {"unit_decompose", "_action_row"},
     "_pairing": {"_ActionScanner.apply_matrix"},
     "dumps": {"_emit"},
-    "perf_counter": {"_timed", "run_criterion_1", "run_criterion_6"},
+    "perf_counter": {"_timed", "run_criterion_1", "run_criterion_6", "_run_suite"},
+    "fork": {"_fork_suite"},
 }
 
 
