@@ -110,18 +110,11 @@ def _valid_types(primes, max_l, max_m):
     return out
 
 
-@functools.cache
-def _type_layout(p, l, m):
-    """The (index, choices) pairs that enumeration walks for one type, as
-    tuples and ranges: built once per type, since criterion 6 draws
-    thousands of characters from a grid of 55 types."""
-    return tuple(zip(*_type_choice_lists(p, l, m)))
-
-
 def _random_character_of_type(rng, p, l, m):
     """Uniform draw over the characters of one type, without enumerating:
     one value per index from the layout that enumeration walks."""
-    return Character(p, {j: rng.choice(c) for j, c in _type_layout(p, l, m)})
+    indices, choices = _type_choice_lists(p, l, m)
+    return Character(p, {j: rng.choice(c) for j, c in zip(indices, choices)})
 
 
 def _random_element(rng, p, n):

@@ -51,7 +51,7 @@ class Character(_Value):
     values are dropped, so an absent index means value 0.
     """
 
-    __slots__ = ("prime", "coeffs", "_key")
+    __slots__ = ("prime", "coeffs")
 
     def __init__(self, prime, coeffs):
         prime = as_prime(prime)
@@ -69,7 +69,6 @@ class Character(_Value):
                 clean[j] = v
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_key", tuple(sorted(clean.items())))
 
     def value(self, j):
         """c_j, the value on the basis unit E_j."""
@@ -95,13 +94,13 @@ class Character(_Value):
         return top
 
     def _ident(self):
-        return self.prime, self._key
+        return self.prime, tuple(sorted(self.coeffs.items()))
 
     def __str__(self):
         return "p=%d; %s" % (self.prime.p, format_character_literal(self))
 
     def __repr__(self):
-        return "Character(p=%d, %r)" % (self.prime.p, dict(self._key))
+        return "Character(p=%d, %r)" % (self.prime.p, dict(sorted(self.coeffs.items())))
 
 
 CharType = collections.namedtuple("CharType", "l m")
@@ -420,13 +419,15 @@ def scalar_mul(n: int, chi: Character) -> Character:
 # Enumeration.
 
 
+@functools.cache
 def _type_choice_lists(p, l, m):
-    """The indices a character of type <l, m> carries, ascending, and the
-    values each index may take, as ranges and tuples."""
+    """The tuple of indices a character of type <l, m> carries, ascending,
+    and the tuple of the values each index may take, as ranges and tuples.
+    Cached per type and shared, so callers only read it."""
     prime = as_prime(p)
     p = prime.p
     require_valid_type(prime, l, m)
-    indices = [j for j in range(1, m + 1) if j % p]
+    indices = tuple(j for j in range(1, m + 1) if j % p)
     choices = []
     for j in indices:
         if j < l:
@@ -437,7 +438,7 @@ def _type_choice_lists(p, l, m):
             choices.append(range(0, prime.psq, p))
         else:  # j == m, only reached when p does not divide m
             choices.append(range(p, prime.psq, p))
-    return indices, choices
+    return indices, tuple(choices)
 
 
 def character_count(p, l, m) -> int:
@@ -455,7 +456,7 @@ def enumerate_characters(p, l, m):
     right, each coefficient ascending.
     """
     prime = as_prime(p)
-    indices, choices = _type_choice_lists(prime, l, m)
+    indices, choices = _type_choice_lists(prime.p, l, m)
     for values in itertools.product(*choices):
         yield Character(prime, dict(zip(indices, values)))
 

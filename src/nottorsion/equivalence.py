@@ -85,6 +85,11 @@ class BudgetExceeded(Exception):
             % (self.cost_text, budget)
         )
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the constructor's arguments, not
+        # from `args`, which holds only the message
+        return type(self), (self.p, self.m, self.budget)
+
     @property
     def cost(self):
         return self.p**self.m

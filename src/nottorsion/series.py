@@ -50,7 +50,8 @@ class _Value:
     A record sets its slots once, in its constructor, through
     object.__setattr__.  Equality and hashing read the type and
     `_ident()`, by default the tuple of the record's slots; a record that
-    holds a dict overrides `_ident` with a sorted-items key.
+    holds a dict overrides `_ident` to sort the dict's items there, when
+    the key is read, and stores no key.
     """
 
     __slots__ = ()
@@ -229,14 +230,15 @@ def _strip_tables(p, m):
 
     tables[(k, c)] is a tuple of (degree, coefficient) pairs, the terms
     C(c, i) t^(i*k) with 1 <= i <= c and i*k <= m (the leading 1 is
-    implicit).  Entries exist for 1 <= k <= m, 1 <= c < p; as c < p, no
-    C(c, i) vanishes mod p, so a row has at most c terms.
+    implicit).  Entries exist for 1 <= k <= m // 2, the degrees at which
+    `_strip_run` divides, and 1 <= c < p; as c < p, no C(c, i) vanishes
+    mod p, so a row has at most c terms.
     """
     return {
         (k, c): tuple(
             (i * k, math.comb(c, i) % p) for i in range(1, min(c, m // k) + 1)
         )
-        for k in range(1, m + 1)
+        for k in range(1, m // 2 + 1)
         for c in range(1, p)
     }
 

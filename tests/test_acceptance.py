@@ -13,9 +13,11 @@ ever passes there, which would mean a strict count above the bound.
 
 Criterion 6's forked workers are held to the in-process path, which
 runs when one CPU is available: equal results under a frozen clock,
-faults that reach the caller, and no child left after any run.
+faults that reach the caller, and no child left after any run.  A
+sha256 of the characters criterion 6 draws pins those draws.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -25,9 +27,14 @@ import time
 import pytest
 
 from nottorsion import acceptance
-from nottorsion.characters import _type_choice_lists, break_sequence
+from nottorsion.characters import (
+    _type_choice_lists,
+    break_sequence,
+    format_character_literal,
+)
 from nottorsion.cli import main
 from nottorsion.equivalence import (
+    count_classes,
     reduced_form_bound,
     type_1m_class_count,
     type_2m_weak_class_count,
@@ -205,6 +212,22 @@ def test_criterion_6_worker_faults_reach_the_caller(monkeypatch, capsys):
         _assert_no_child_left()
 
 
+def test_criterion_6_worker_budget_refusal_reaches_the_caller(monkeypatch, capsys):
+    # a refusal raised in a worker comes back as the same refusal, so the
+    # CLI exits 3 with the message it prints when the suite runs here
+    monkeypatch.setattr(acceptance, "PROPERTY_CASES", 20)
+    _with_case(monkeypatch, 2, lambda rng: count_classes(3, 1, 4, budget=1))
+    seen = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(acceptance, "_available_cpus", lambda: cpus)
+        assert main(["verify", "--only", "6"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("budget refused: ")
+        seen.append(out.err)
+        _assert_no_child_left()
+    assert seen[0] == seen[1], seen
+
+
 def test_criterion_6_worker_without_a_result_is_a_fault(monkeypatch):
     monkeypatch.setattr(acceptance, "PROPERTY_CASES", 20)
     monkeypatch.setattr(acceptance, "_available_cpus", lambda: 2)
@@ -269,3 +292,17 @@ def test_random_characters_follow_the_type_layout():
             for j, allowed in zip(indices, choices):
                 assert chi.value(j) in allowed, (p, l, m, j)
             assert break_sequence(chi) == (l, m)
+
+
+def test_criterion_6_draws_are_pinned():
+    # criterion 6's cases see exactly these characters: a change to the
+    # type layout or to the order of the draws moves the digest
+    digest = hashlib.sha256()
+    for seed in (acceptance.DEFAULT_SEED, 1401, 7):
+        rng = random.Random(seed)
+        for _ in range(3000):
+            p, _, _, chi = acceptance._draw_character(rng)
+            digest.update(b"%d;%s|" % (p, format_character_literal(chi).encode()))
+    assert digest.hexdigest() == (
+        "584e4d1d825d5700aec6156cff83914141d15397306969f4ea79e04a537f5234"
+    )

@@ -6,6 +6,7 @@ arithmetic), or frozen from computations done with the series layer
 directly.
 """
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from nottorsion.characters import (
     CharType,
     ReducedForm,
     _basis_value,
+    _type_choice_lists,
     _weights,
     break_sequence,
     char_act,
@@ -91,6 +93,18 @@ def test_character_hash_and_eq():
     assert a == b and hash(a) == hash(b)
     assert a != Character(2, {5: 1})
     assert len({a, b}) == 1
+
+
+def test_character_stores_no_sort_key():
+    # the record holds its prime and its values; the order in which the
+    # values were given does not reach equality, hashing or repr
+    assert Character.__slots__ == ("prime", "coeffs")
+    items = [(1, 4), (2, 3), (4, 6), (5, 1)]
+    chars = [Character(3, dict(order)) for order in itertools.permutations(items)]
+    assert len(chars) == 24
+    for chi in chars:
+        assert chi == chars[0] and hash(chi) == hash(chars[0])
+        assert repr(chi) == "Character(p=3, {1: 4, 2: 3, 4: 6, 5: 1})"
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +550,19 @@ def test_enumeration_order_is_frozen():
     assert heads == ["5:1,15:2", "5:1,13:2,15:2", "5:1,11:2,15:2"]
     forms = [(rf.x_l, dict(rf.b)) for rf, _ in zip(enumerate_reduced_forms(3, 2, 7), range(2))]
     assert forms == [(1, {5: 0, 7: 1}), (1, {5: 0, 7: 2})]
+
+
+def test_type_layout_is_cached_as_tuples():
+    # one layout per type, shared by every reader, and immutable
+    layout = _type_choice_lists(3, 2, 8)
+    assert _type_choice_lists(3, 2, 8) is layout
+    indices, choices = layout
+    assert type(layout) is tuple and type(indices) is tuple and type(choices) is tuple
+    assert indices == (1, 2, 4, 5, 7, 8)
+    assert all(isinstance(c, (tuple, range)) for c in choices)
+    assert [list(c) for c in choices] == [
+        list(range(9)), [1, 2, 4, 5, 7, 8], [0, 3, 6], [0, 3, 6], [0, 3, 6], [3, 6],
+    ]
 
 
 # ---------------------------------------------------------------------------

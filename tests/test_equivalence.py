@@ -8,14 +8,17 @@ candidate space.
 import copy
 import functools
 import hashlib
+import importlib
 import itertools
 import pickle
+import pkgutil
 import random
 import time
 import tracemalloc
 
 import pytest
 
+import nottorsion
 from nottorsion import equivalence
 from nottorsion.acceptance import CriterionResult, _random_character_of_type
 from nottorsion.characters import (
@@ -61,6 +64,7 @@ from nottorsion.reduction import reduce, verify_witness
 from nottorsion.series import (
     ExponentVector,
     NottinghamElement,
+    ParseError,
     Prime,
     UnitSeries,
     _pow_raw,
@@ -705,6 +709,40 @@ def test_returned_records_are_values(name):
     for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                   copy.deepcopy(value)):
         assert clone == value and hash(clone) == hash(value)
+
+
+# name -> build: one sample of each exception class the library defines
+EXCEPTIONS = {
+    "ParseError": lambda: ParseError("repeated index 4", 7),
+    "BudgetExceeded": lambda: BudgetExceeded(3, 40, 100),
+}
+
+
+def _library_exceptions():
+    """name -> class of every Exception subclass defined in a module of
+    the package."""
+    found = {}
+    for info in pkgutil.iter_modules(nottorsion.__path__):
+        module = importlib.import_module("nottorsion." + info.name)
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and issubclass(value, Exception)
+                    and value.__module__ == module.__name__):
+                found[name] = value
+    return found
+
+
+def test_library_exceptions_survive_pickling():
+    # a worker process hands its exception back pickled, so each one
+    # must come back with the same message and attributes; a class
+    # without a sample here fails
+    found = _library_exceptions()
+    assert sorted(found) == sorted(EXCEPTIONS)
+    for name, cls in found.items():
+        exc = EXCEPTIONS[name]()
+        assert type(exc) is cls
+        for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+            assert type(clone) is cls and clone is not exc
+            assert (str(clone), clone.args, vars(clone)) == (str(exc), exc.args, vars(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -219,14 +219,17 @@ def test_pow_matches_square_and_multiply():
 
 
 def test_strip_tables_are_binomial_rows():
+    # rows exist only where _strip_run divides, at k <= m // 2
     for p in PRIMES:
         tables = _strip_tables(p, 20)
-        for k in (1, 3, 7, 20):
+        for k in (1, 3, 7, 10):
             for c in range(1, p):
                 expect = [
                     (i * k, math.comb(c, i) % p) for i in range(1, c + 1) if i * k <= 20
                 ]
                 assert list(tables[(k, c)]) == expect
+        for m in (20, 21):
+            assert max(k for k, _ in _strip_tables(p, m)) == m // 2
 
 
 def test_strip_and_decompose_match_inverse_strip():
