@@ -24,7 +24,11 @@ where d solves a_q + d q b_m = 0 mod p and e solves d b_(l+j) + e b_m = 0
 mod p, with p b_m = chi(E_m) the invariant top digit.  Each step clears
 position q, only disturbs positions below q, and contributes exactly 0
 to the kernel value, so the accumulated witness always satisfies
-chi(u(t)/t) = 0 mod p.
+chi(u(t)/t) = 0 mod p.  Through degree m the step's unit is
+(1 + t^(l+j))^d + e t^m, so it is written that way: one basis power,
+which Lucas' theorem gives term by term, and e added at degree m.  Steps
+compose onto acc through the substitution kernel, which takes one power
+of acc per nonzero term of the step.
 
 Both stages are lazy.  The character reached after steps with composite
 acc takes the value chi(E_v o acc) at v (the action is contravariant):
@@ -213,7 +217,9 @@ def _clear_p_part(chi, l, m, acc):
         # values above q are final
         cv = values[v] if v in values else _acted_value(weights, acc, v, p, psq, m)
         e = (-d * (cv // p) * pow(b_m, -1, p)) % p
-        u_j = _mul_raw(_basis_power(v, d, p, m), _basis_power(m, e, p, m), p, m)
+        # (1+t^v)^d (1+t^m)^e = (1+t^v)^d + e*t^m through degree m
+        u_j = _basis_power(v, d, p, m)
+        u_j[m] = (u_j[m] + e) % p
         # the module docstring's argument needs acc moved first at v, by d
         old = [1] + [0] * m if acc is None else acc
         acc = u_j if acc is None else _compose_raw(u_j, acc, p, m)

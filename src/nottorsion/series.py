@@ -205,19 +205,28 @@ def _pow_raw(a, e, p, n):
 
 def _subst_raw(f, z, p, n):
     # f(t*z(t)) truncated at degree n, where f is a raw series and z the
-    # unit part of the substituted element; z^k is only needed to degree n-k.
-    # Only the nonzero f[k] need z^k, so zp jumps each gap between them
-    # with one power: the steps (1+t^k)^d (1+t^m)^e of a reduction are
-    # sparse by Lucas' theorem.
+    # unit part of the substituted element; z^k is only needed to degree
+    # n-k, so z^n is its constant 1.  Only the nonzero f[k] need z^k, and
+    # each takes one power: z itself at k = 1, one product of the previous
+    # power next to it, one `_pow_raw` across a gap, none at k = n.  The
+    # steps (1+t^k)^d (1+t^m)^e of a reduction are sparse by Lucas' theorem.
     out = [0] * (n + 1)
     out[0] = f[0]
-    zp, prev = [1], 0
+    zp, prev = None, 0
     for k in range(1, min(len(f), n + 1)):
         fk = f[k]
         if not fk:
             continue
-        zg = z if k - prev == 1 else _pow_raw(z, k - prev, p, n - k)
-        zp, prev = _mul_raw(zp, zg, p, n - k), k
+        if k == n:
+            out[n] += fk
+            continue
+        if k == 1:
+            zp = z[:n]
+        elif k - prev == 1:
+            zp = _mul_raw(zp, z, p, n - k)
+        else:
+            zp = _pow_raw(z, k, p, n - k)
+        prev = k
         for d, zd in enumerate(zp):
             if zd:
                 out[k + d] += fk * zd
@@ -301,16 +310,42 @@ def _decompose_raw(f, p, psq, m):
 
 
 def _basis_power(k, e, p, n):
-    """Raw (1 + t^k)^e through degree n, for 1 <= k <= n."""
-    raw = [1] + [0] * n
-    raw[k] = 1
-    return _pow_raw(raw, e, p, n)
+    """Raw (1 + t^k)^e through degree n, for 1 <= k <= n and any integer e.
+
+    (1+t^k)^q = 1 + t^(kq) over F_p for a p-power q, so with q the least
+    p-power above n // k only e mod q matters, which also makes a negative
+    e positive.  By Lucas' theorem the coefficient of t^(ik) is then
+    prod C(e_s, i_s) mod p over the base-p digits of e and i: it is nonzero
+    exactly when every digit of i is at most e's.  The terms are built
+    digit by digit from the top, keeping only i <= n // k.
+    """
+    top = n // k
+    q = 1
+    while q <= top:
+        q *= p
+    e %= q
+    terms = [(0, 1)]
+    while q > 1:
+        q //= p
+        d, e = divmod(e, q)
+        terms = [
+            (i + a * q, c * math.comb(d, a) % p)
+            for i, c in terms
+            for a in range(d + 1)
+            if i + a * q <= top
+        ]
+    raw = [0] * (n + 1)
+    for i, c in terms:
+        raw[i * k] = c
+    return raw
 
 
 def _compose_raw(zu, zv, p, n):
     """Raw unit part of u(v(t)) through degree n, from the raw unit parts
-    zu of u and zv of v: u(v(t)) = v(t) * z_u(v(t)) = t * zv * (zu o v)."""
-    return _mul_raw(zv, _subst_raw(zu, zv, p, n), p, n)
+    zu of u and zv of v.  u(v(t)) = (t*zu)(t*zv), so it is the substitution
+    of t*zv into t*zu through degree n+1, less its leading factor t: the
+    term of zu at degree k takes zv^(k+1)."""
+    return _subst_raw([0, *zu], zv, p, n + 1)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -479,27 +479,13 @@ def test_shared_row_matches_per_child_row(p, l, m):
                     assert fast == _pairing(row.items(), c, psq)
 
 
-def counted_calls(monkeypatch, name):
-    """Record the arguments of every call to equivalence.<name> in the
-    returned list, for the rest of the test."""
-    calls = []
-    real = getattr(equivalence, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(equivalence, name, counted)
-    return calls
-
-
-def test_partition_shares_rows_across_siblings(monkeypatch):
+def test_partition_shares_rows_across_siblings(counted_calls):
     # one power of z per expanded node, plus one per unit-layer test: a
     # row per child would take 38 powers at <5,17> over F_2, strict or
     # weak, where the walk takes 23; at weak <2,10> over F_5 a row per
     # child took 8,380 and shared rows 1,680 before the x_l seed, which
     # brings them to 93
-    calls = counted_calls(monkeypatch, "_pow_raw")
+    calls = counted_calls(equivalence, "_pow_raw")
     partition_reduced_forms(2, 5, 17)
     assert len(calls) <= 23
     calls.clear()
@@ -511,12 +497,12 @@ def test_partition_shares_rows_across_siblings(monkeypatch):
 
 
 @pytest.mark.parametrize("strict, classes", [(True, 36), (False, 12)])
-def test_walk_seeds_each_form_with_its_x_l(monkeypatch, strict, classes):
+def test_walk_seeds_each_form_with_its_x_l(counted_calls, strict, classes):
     # the action keeps x_l, so each form starts with only the forms that
     # share it; with every form live at the root, <4,26> over F_3 took
     # 303,347 powers of z strict and 961,597 weak, and the seeded walk
     # takes 348 and 409
-    calls = counted_calls(monkeypatch, "_pow_raw")
+    calls = counted_calls(equivalence, "_pow_raw")
     _, cls, _ = _join_reduced_forms(as_prime(3), 4, 26, strict=strict)
     assert len(set(cls)) == classes
     assert len(calls) <= 1000
@@ -567,11 +553,11 @@ def test_unit_layer_rejects_only_prefixes_that_miss(p, l, m):
     assert rejected
 
 
-def test_walk_prunes_by_the_unit_layer(monkeypatch):
+def test_walk_prunes_by_the_unit_layer(counted_calls):
     # the walk's shared rows are its only strips; comparing the unit layer
     # only at depth m - j, strict <5,17> over F_2 stripped 1,104 of them,
     # and testing it at depth l - j leaves 15
-    calls = counted_calls(monkeypatch, "_strip_run")
+    calls = counted_calls(equivalence, "_strip_run")
     assert count_classes(2, 5, 17) == 2
     assert len(calls) <= 50
 

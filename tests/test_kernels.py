@@ -2,9 +2,11 @@
 
 The oracles are the straightforward algorithms the kernels replaced:
 the schoolbook product, square-and-multiply powers with inversion by
-back substitution, and the greedy strip that multiplies the residual by
-the dense inverse (1+t^k)^(-c), descending.  Every case is drawn from a
-fixed seed, so a failure repeats exactly.
+back substitution, the dense substitution that builds every power of z,
+and the greedy strip that multiplies the residual by the dense inverse
+(1+t^k)^(-c), descending.  Square-and-multiply is also the oracle of the
+basis powers (1+t^k)^e, which the kernel writes from Lucas' theorem.
+Every case is drawn from a fixed seed, so a failure repeats exactly.
 """
 
 import functools
@@ -25,12 +27,15 @@ from nottorsion.characters import (
 )
 from nottorsion.series import (
     _FIELD_CODES,
+    _basis_power,
+    _compose_raw,
     _decompose_raw,
     _field_width,
     _mul_raw,
     _pow_raw,
     _strip_run,
     _strip_tables,
+    _subst_raw,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 31)
@@ -75,6 +80,19 @@ def square_multiply_pow(a, e, p, n):
         if e:
             base = school_mul(base, base, p, n)
     return result
+
+
+def dense_subst(f, z, p, n):
+    """f(t*z) truncated at degree n: the sum of f[k] t^k z^k over every
+    degree k <= n, with z^k built by one product per degree whether f[k]
+    vanishes or not."""
+    out = [0] * (n + 1)
+    zk = [1]
+    for k in range(min(len(f), n + 1)):
+        for d, c in enumerate(zk[: n + 1 - k]):
+            out[k + d] += f[k] * c
+        zk = school_mul(zk, z, p, n - k)
+    return [v % p for v in out]
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,6 +234,75 @@ def test_pow_matches_square_and_multiply():
             [rng.randrange(-60, 200), rng.randrange(-3, 4), p * rng.randrange(1, 8)]
         )
         assert _pow_raw(a, e, p, n) == square_multiply_pow(a, e, p, n), (p, n, a, e)
+
+
+def test_basis_power_matches_square_and_multiply():
+    # every k from 1 to n, past n // 2 too, where (1+t^k)^e has at most
+    # one term besides its 1; e negative, in range, and at or above p^L,
+    # the least p-power above n // k, modulo which the kernel reduces it
+    rng = random.Random(17)
+    for p in PRIMES:
+        for n in (1, 2, 9, rng.randrange(10, 41)):
+            for k in range(1, n + 1):
+                q = 1
+                while q <= n // k:
+                    q *= p
+                ek = [1] + [0] * n
+                ek[k] = 1
+                for e in (
+                    -rng.randrange(1, 3 * q + 1),
+                    rng.randrange(q),
+                    q * rng.randrange(1, 4) + rng.randrange(q),
+                ):
+                    want = square_multiply_pow(ek, e, p, n)
+                    assert _basis_power(k, e, p, n) == want, (p, n, k, e)
+
+
+def dense_and_sparse_units(rng, p, n):
+    """A raw unit through degree n: dense, sparse, or a reduction step
+    (1+t^k)^d + e*t^n, whose terms sit at the multiples of k and at n."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        k = rng.randrange(1, n + 1)
+        z = _basis_power(k, rng.randrange(1, p), p, n)
+        z[n] = (z[n] + rng.randrange(p)) % p
+        return z
+    return random_series(rng, p, n + 1, unit=True)
+
+
+def test_compose_matches_product_of_substitution():
+    # u(v(t)) = t * zv * zu(t*zv): the kernel substitutes t*zv into t*zu,
+    # so the term of zu at degree k takes zv^(k+1)
+    rng = random.Random(18)
+    for _ in range(400):
+        p = rng.choice(PRIMES)
+        n = rng.randrange(1, 41)
+        zu = dense_and_sparse_units(rng, p, n)
+        zv = dense_and_sparse_units(rng, p, n)
+        want = school_mul(zv, dense_subst(zu, zv, p, n), p, n)
+        assert _compose_raw(zu, zv, p, n) == want, (p, n, zu, zv)
+
+
+def test_subst_matches_dense_substitution_term_by_term():
+    # f's terms cover every rule of the kernel: one at k = 1, which takes z
+    # itself, runs of adjacent terms, each one product of the previous
+    # power, gaps of 2 or more, each one power, and one at degree n, which
+    # takes none; f may be shorter or longer than n + 1, and z shorter
+    rng = random.Random(19)
+    for _ in range(400):
+        p = rng.choice(PRIMES)
+        n = rng.randrange(2, 41)
+        f = [rng.randrange(p)] + [0] * n
+        k = 1
+        while k < n:
+            for d in range(k, min(k + rng.randrange(1, 4), n)):
+                f[d] = rng.randrange(1, p)
+            k = d + rng.randrange(2, 6)
+        f[n] = rng.randrange(1, p)
+        f = f[: rng.choice([n + 1, n + 1, rng.randrange(2, n + 1)])]
+        f += [rng.randrange(p) for _ in range(rng.choice([0, 0, 3]))]
+        z = random_series(rng, p, rng.choice([n, n + 1, rng.randrange(1, n + 1)]), unit=True)
+        assert _subst_raw(f, z, p, n) == dense_subst(f, z, p, n), (p, n, f, z)
 
 
 def test_strip_tables_are_binomial_rows():

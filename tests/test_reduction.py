@@ -10,10 +10,11 @@ and serve as their differential oracle.
 """
 
 import random
+import sys
 
 import pytest
 
-from nottorsion import cli, reduction
+from nottorsion import cli, reduction, series
 from nottorsion.characters import (
     Character,
     ReducedForm,
@@ -579,21 +580,10 @@ def test_reduce_stage_two_fault_raises_runtime_error(monkeypatch, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
-def test_each_stage_acts_at_most_once(monkeypatch):
+def test_each_stage_acts_at_most_once(counted_calls):
     # stage one acts at most once; stage two and reduce not at all
-    calls = []
-    evals = []
-
-    def counting_char_act(u, chi):
-        calls.append(chi)
-        return char_act(u, chi)
-
-    def counting_char_eval(chi, unit):
-        evals.append(chi)
-        return char_eval(chi, unit)
-
-    monkeypatch.setattr(reduction, "char_act", counting_char_act)
-    monkeypatch.setattr(reduction, "char_eval", counting_char_eval)
+    calls = counted_calls(reduction, "char_act")
+    evals = counted_calls(reduction, "char_eval")
 
     # a reduced character: neither stage takes a step, so neither acts,
     # and reduce only evaluates the kernel of the identity
@@ -630,3 +620,31 @@ def test_each_stage_acts_at_most_once(monkeypatch):
             many2 |= len(steps2) > 1
     # per-step actions would have shown up as several calls
     assert many1 and many2
+
+
+@pytest.mark.parametrize(
+    "text, p, most",
+    [("1:10,2:4,3:12,4:20,6:1,7:21,9:10,11:20,13:20,14:5,18:15,19:15,22:5,"
+      "24:20,26:15,28:20,31:5,32:20,34:20,36:20,37:20", 5, 220),
+     ("2:3,5:8,7:2,8:4,10:6,11:2,13:7,14:3,16:6,17:6,22:6,23:6,25:6,28:3,"
+      "31:6,32:6,35:6,38:6,40:3", 3, 130)],
+)
+def test_reduce_step_products(counted_calls, text, p, most):
+    # a stage-two step writes its unit as (1+t^v)^d + e*t^m from Lucas'
+    # theorem, and a composition takes one power of zv per nonzero term
+    # of zu, with no trailing product.  Built from two square-and-multiply
+    # chains and their product, and composed by gap powers times the
+    # previous power and a trailing product, these reductions, of types
+    # <7,37> over F_5 and <13,40> over F_3, took 297 and 174 products;
+    # they take 191 and 111
+    chi = parse_character_literal(text, p)
+    calls = [
+        counted_calls(module, "_mul_raw")
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("nottorsion")
+        and getattr(module, "_mul_raw", None) is series._mul_raw
+    ]
+    assert len(calls) >= 3  # series, characters and reduction
+    form, witness = reduce(chi)
+    assert sum(map(len, calls)) <= most
+    assert verify_witness(chi, form.to_character(), witness)

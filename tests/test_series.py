@@ -10,6 +10,7 @@ import random
 import re
 
 import pytest
+from test_kernels import dense_subst
 
 from nottorsion.series import (
     ExponentVector,
@@ -158,19 +159,6 @@ def test_subst_is_multiplicative():
         lhs = unit_subst(unit_mul(f, g), u)
         rhs = unit_mul(unit_subst(f, u), unit_subst(g, u))
         assert lhs == rhs
-
-
-def dense_subst(f, z, p, n):
-    """Oracle: sum of f[k] t^k z^k over every degree k <= n, with z^k built
-    by one naive convolution per degree whether f[k] vanishes or not."""
-    out = [0] * (n + 1)
-    zk = [1]
-    for k in range(n + 1):
-        fk = f[k] if k < len(f) else 0
-        for d, c in enumerate(zk[: n + 1 - k]):
-            out[k + d] += fk * c
-        zk = naive_mul(zk, z, p)[: n + 1]
-    return [v % p for v in out]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
