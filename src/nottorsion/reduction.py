@@ -24,31 +24,37 @@ where d solves a_q + d q b_m = 0 mod p and e solves d b_(l+j) + e b_m = 0
 mod p, with p b_m = chi(E_m) the invariant top digit.  Each step clears
 position q, only disturbs positions below q, and contributes exactly 0
 to the kernel value, so the accumulated witness always satisfies
-chi(u(t)/t) = 0 mod p.  Through degree m the step's unit is
-(1 + t^(l+j))^d + e t^m, so it is written that way: one basis power,
-which Lucas' theorem gives term by term, and e added at degree m.  Steps
-compose onto acc through the substitution kernel, which takes one power
-of acc per nonzero term of the step.
+chi(u(t)/t) = 0 mod p.  Through degree m, (1 + (t z)^m)^e = 1 + e t^m,
+so a step's e factor only adds e at degree m of acc's unit; later
+compositions carry that digit through unchanged, and no read sees it, as
+the row at q reads acc only through degree m - q.  So a step writes only
+(1 + t^(l+j))^d, one basis power that Lucas' theorem gives term by term,
+and the e's land once, as E at degree m after the last step: the steps
+keep the kernel value kappa = chi(acc) of stage one's acc (0 when stage
+one took no step), and chi(z + E t^m) = chi(z) + E chi(E_m), so
+E = (kappa - chi(acc without the e's)) / (p b_m) mod p.  kappa is the
+witness's kernel value.  Steps compose onto acc through the substitution
+kernel, which takes one power of acc per nonzero term of the step.
 
 Both stages are lazy.  The character reached after steps with composite
 acc takes the value chi(E_v o acc) at v (the action is contravariant):
 the strip digits of the row E_v o acc weighed by chi(E_k).  A step
-computes only the values it reads.  Stage one tracks the unit layer,
-the values mod p at the coprime k <= l, which read only strip digits at
-degrees <= l; each step moves the layer by its own action rows to depth
-l.  Steps and acc are raw unit lists.
+computes only the values it reads.  Stage one reads mod p to depth l
+against chi's own unit layer, which sees only strip digits at degrees
+<= l: before the step at i, the digit x_i = chi(E_i o acc), and for f,
+(chi acc)(1 + c t^r) = chi(1 + c t^r acc^r) with r = l - i; each read
+takes one power of acc and one strip.  Steps and acc are raw unit lists.
 
 Stage two evaluates each row of its final acc once.  A step at q moves
 acc first at degree m - q, by d, so the rows above q keep their values,
 and the row at q moves only its last strip digit, at degree m, by q*d;
 chi(E_m) is a multiple of p, so the value at q becomes the value read
 plus q*d*chi(E_m), and no later step moves it.  The window [m-l, m],
-which no step moves, comes from one chain of powers of stage one's acc;
-each q reads one power of acc, and a read at l + j above q takes the
-recorded value.  Stage two builds its character from these values and
-never acts on chi.  Each step checks that it moved acc that way; the
-form's own check and `_kernel_witness` close the stage.  While acc is
-the identity the values are chi's own, in closed form
+which no step moves, comes from one chain of powers of stage one's acc,
+and each q reads one power of acc.  Stage two builds its character from
+these values and never acts on chi.  Each step checks that it moved acc
+that way; the form's own check and `_kernel_witness` close the stage.
+While acc is the identity the values are chi's own, in closed form
 (`characters._basis_value`).
 """
 
@@ -57,7 +63,7 @@ from __future__ import annotations
 from .characters import (
     Character,
     ReducedForm,
-    _action_rows,
+    _row,
     _row_value,
     _value,
     _weights,
@@ -137,12 +143,14 @@ def _acted_value(weights, z, v, p, psq, m):
     return _row_value(v, zv, weights, p, psq, m)
 
 
-def _kernel_witness(chi, element):
-    """The Witness of an element that the library built for chi.  A kernel
-    value that is a unit mod p is then an internal fault, not bad input,
-    so it raises RuntimeError where the Witness constructor would raise
-    ValueError."""
-    kernel_value = char_eval(chi, element.unit)
+def _kernel_witness(chi, element, kernel_value=None):
+    """The Witness of an element that the library built for chi, with
+    kernel value chi(element's unit), evaluated here unless the caller
+    knows it.  A kernel value that is a unit mod p is then an internal
+    fault, not bad input, so it raises RuntimeError where the Witness
+    constructor would raise ValueError."""
+    if kernel_value is None:
+        kernel_value = char_eval(chi, element.unit)
     if kernel_value % chi.prime.p:
         raise RuntimeError(
             "built a witness with kernel value %d, a unit mod %d"
@@ -161,30 +169,40 @@ def _element(prime, acc, m):
 
 def _clear_units(chi, l, m):
     """Stage one's steps on chi of type <l, m>: the raw accumulated unit
-    that clears every unit digit below l, or None when no step ran."""
+    that clears every unit digit below l, or None when no step ran.
+
+    Each step reads the two values it needs off acc, mod p to depth l
+    against chi's own unit layer: the digit x_i = chi(E_i o acc) and
+    (chi acc)(1 + c t^r) = chi(1 + c t^r acc^r) for f, r = l - i."""
     p = chi.prime.p
-    # the unit layer: the current values mod p at the coprime k <= l
-    x = {k: chi.value(k) % p for k in range(1, l + 1) if k % p}
-    x_l = x[l]
+    layer = _weights(chi.coeffs, p, p, l)  # chi's values mod p
+    x_l = layer[l] % p
     acc = None
     for i in range(l - 1, 0, -1):
-        if i % p == 0 or not x[i]:
+        if i % p == 0:
             continue
-        c = (-x[i] * pow(i * x_l % p, -1, p)) % p
+        x_i = _acted_value(layer, acc, i, p, p, l) % p
+        if not x_i:
+            continue
+        c = (-x_i * pow(i * x_l % p, -1, p)) % p
+        r = l - i
+        zr = [1] + [0] * i if acc is None else _pow_raw(acc, r, p, i)
+        kernel_part = _value(_row(r, [c * z % p for z in zr]), layer, p, p, l)
+        f = (-kernel_part * pow(x_l, -1, p)) % p
         step = [1] + [0] * m
-        step[l - i] = c
-        layer = _weights(x, p, p, l)  # mod p
-        f = (-_value(step, layer, p, p, l) * pow(x_l, -1, p)) % p
+        step[r] = c
         s = _mul_raw(step, _basis_power(l, f, p, m), p, m)
-        x = {k: _row_value(k, zk, layer, p, p, l) for k, zk in _action_rows(s, p, l)}
         acc = s if acc is None else _compose_raw(s, acc, p, m)
     return acc
 
 
 def _clear_p_part(chi, l, m, acc):
     """Stage two's steps on chi acted on by acc (no unit digits below l)
-    composed onto acc, as an element, and chi acted on by it, from its
-    values.  x_l and b_m are read from chi, as the action keeps both."""
+    composed onto acc, as an element; chi acted on by it, from its
+    values; and kappa = chi(acc), the kernel value the steps keep (0 when
+    acc is None).  x_l and b_m are read from chi, as the action keeps
+    both.  The steps' factors (1+t^m)^e land last, as one digit at
+    degree m that restores kappa."""
     prime = chi.prime
     p, psq = prime.p, prime.psq
     weights = _weights(chi.coeffs, p, psq, m)
@@ -195,6 +213,7 @@ def _clear_p_part(chi, l, m, acc):
     b_m = (top // p) % p
     if b_m == 0:
         raise RuntimeError("top digit vanished; type bookkeeping is broken")
+    kappa = 0 if acc is None else _value(acc, weights, p, psq, m)
     # the window [m-l, m], which no step moves, along one chain of powers
     values = {}
     zv = None if acc is None else _pow_raw(acc, m - l - 1, p, l + 1)
@@ -202,6 +221,7 @@ def _clear_p_part(chi, l, m, acc):
         if zv is not None:
             zv = _mul_raw(zv, acc, p, m - v)
         values[v] = _row_value(v, zv, weights, p, psq, m)
+    stepped = False
     for j in range(1, m - l):
         q = m - l - j
         if q % p == 0:
@@ -214,20 +234,22 @@ def _clear_p_part(chi, l, m, acc):
             continue
         d = (-a_q * pow(q * b_m % p, -1, p)) % p
         v = l + j
-        # values above q are final
-        cv = values[v] if v in values else _acted_value(weights, acc, v, p, psq, m)
-        e = (-d * (cv // p) * pow(b_m, -1, p)) % p
-        # (1+t^v)^d (1+t^m)^e = (1+t^v)^d + e*t^m through degree m
         u_j = _basis_power(v, d, p, m)
-        u_j[m] = (u_j[m] + e) % p
         # the module docstring's argument needs acc moved first at v, by d
         old = [1] + [0] * m if acc is None else acc
         acc = u_j if acc is None else _compose_raw(u_j, acc, p, m)
         if acc[:v] != old[:v] or (acc[v] - old[v] - d) % p:
             raise RuntimeError("stage two did not reach a reduced form at %d" % q)
         values[q] = (cq + q * d * top) % psq
+        stepped = True
+    if stepped:
+        # chi(acc + E*t^m) = chi(acc) + E*top, and the e's sum to E mod p
+        rest = kappa - _value(acc, weights, p, psq, m)
+        if rest % p:
+            raise RuntimeError("stage two moved the kernel value by %d" % rest)
+        acc[m] = (acc[m] + rest // p * pow(b_m, -1, p)) % p
     acted = Character(prime, {v: c for v, c in values.items() if v % p})
-    return _element(prime, acc, m), acted
+    return _element(prime, acc, m), acted, kappa
 
 
 def reduce_mod_p(chi: Character):
@@ -258,10 +280,10 @@ def clear_low_p_part(chi: Character):
     for i in range(1, l):
         if i % p and chi.value(i) % p:
             raise ValueError("expects stage-one form: unit digit at %d" % i)
-    element, cur = _clear_p_part(chi, l, m, None)
+    element, cur, kappa = _clear_p_part(chi, l, m, None)
     if not is_reduced(cur):
         raise RuntimeError("stage two did not reach a reduced character")
-    return cur, _kernel_witness(chi, element)
+    return cur, _kernel_witness(chi, element, kappa)
 
 
 def reduce(chi: Character):
@@ -272,8 +294,8 @@ def reduce(chi: Character):
     is checked to be reduced and chi(u(t)/t) to vanish mod p.
     """
     l, m = break_sequence(chi)
-    element, form = _clear_p_part(chi, l, m, _clear_units(chi, l, m))
-    witness = _kernel_witness(chi, element)
+    element, form, kappa = _clear_p_part(chi, l, m, _clear_units(chi, l, m))
+    witness = _kernel_witness(chi, element, kappa)
     try:
         return ReducedForm.from_character(form), witness
     except ValueError as exc:

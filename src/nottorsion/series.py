@@ -562,16 +562,15 @@ def nott_inverse(u: NottinghamElement) -> NottinghamElement:
     """Compositional inverse: the w with u(w(t)) = w(u(t)) = t."""
     p, n = u.prime.p, u.precision
     uraw = u.unit._raw()
-    b = [0] * (n + 1)  # raw unit part of w, filled degree by degree
-    b[0] = 1
-    for k in range(1, n + 1):
-        # with b_k still 0, the degree k+1 defect of u(w(t)) is linear in
-        # b_k with coefficient 1
-        zu_of_w = _subst_raw(uraw, b, p, k)
-        comp = _mul_raw(b[: k + 1], zu_of_w, p, k)
-        b[k] = (-comp[k]) % p
-    w = NottinghamElement(u.prime, UnitSeries._from_raw(u.prime, b))
-    return w
+    # Newton by doubling: with u(w(t)) = t + delta, delta = O(t^(k+2)) when
+    # w's unit is right through degree k, w(2t - u(w(t))) leaves the defect
+    # -delta'(t) delta(t) + O(delta^2) = O(t^(2k+3)); two compositions a round
+    w, k = [1], 0
+    while k < n:
+        k = min(2 * k + 1, n)
+        g = _compose_raw(uraw, w, p, k)
+        w = _compose_raw(w, [1, *[-c % p for c in g[1:]]], p, k)
+    return NottinghamElement(u.prime, UnitSeries._from_raw(u.prime, w))
 
 
 def unit_decompose(f: UnitSeries, m: int) -> ExponentVector:

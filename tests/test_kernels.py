@@ -3,9 +3,10 @@
 The oracles are the straightforward algorithms the kernels replaced:
 the schoolbook product, square-and-multiply powers with inversion by
 back substitution, the dense substitution that builds every power of z,
-and the greedy strip that multiplies the residual by the dense inverse
-(1+t^k)^(-c), descending.  Square-and-multiply is also the oracle of the
-basis powers (1+t^k)^e, which the kernel writes from Lucas' theorem.
+the greedy strip that multiplies the residual by the dense inverse
+(1+t^k)^(-c), descending, and the compositional inverse solved degree by
+degree.  Square-and-multiply is also the oracle of the basis powers
+(1+t^k)^e, which the kernel writes from Lucas' theorem.
 Every case is drawn from a fixed seed, so a failure repeats exactly.
 """
 
@@ -27,6 +28,7 @@ from nottorsion.characters import (
 )
 from nottorsion.series import (
     _FIELD_CODES,
+    NottinghamElement,
     _basis_power,
     _compose_raw,
     _decompose_raw,
@@ -36,6 +38,7 @@ from nottorsion.series import (
     _strip_run,
     _strip_tables,
     _subst_raw,
+    nott_inverse,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 31)
@@ -93,6 +96,18 @@ def dense_subst(f, z, p, n):
             out[k + d] += f[k] * c
         zk = school_mul(zk, z, p, n - k)
     return [v % p for v in out]
+
+
+def degree_by_degree_inverse(zu, p, n):
+    """Raw unit part of the compositional inverse w of u = t*zu through
+    degree n, one degree per substitution: with w's digit at k still 0,
+    the degree k+1 defect of u(w(t)) is linear in that digit, with
+    coefficient 1."""
+    w = [1] + [0] * n
+    for k in range(1, n + 1):
+        comp = school_mul(w[: k + 1], dense_subst(zu, w, p, k), p, k)
+        w[k] = (-comp[k]) % p
+    return w
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,6 +318,19 @@ def test_subst_matches_dense_substitution_term_by_term():
         f += [rng.randrange(p) for _ in range(rng.choice([0, 0, 3]))]
         z = random_series(rng, p, rng.choice([n, n + 1, rng.randrange(1, n + 1)]), unit=True)
         assert _subst_raw(f, z, p, n) == dense_subst(f, z, p, n), (p, n, f, z)
+
+
+def test_inverse_matches_degree_by_degree_solver():
+    # the doubling rounds stop at n, so both the shortest precisions and
+    # the ones just past a round's 2k+1 are drawn
+    rng = random.Random(20)
+    precisions = [1, 2, 3, 4, 7, 8, 15, 16] + [rng.randrange(1, 45) for _ in range(300)]
+    for i, n in enumerate(precisions):
+        p = PRIMES[i % len(PRIMES)]
+        zu = dense_and_sparse_units(rng, p, n)
+        u = NottinghamElement.from_unit_coeffs(p, zu[1:])
+        want = degree_by_degree_inverse(zu, p, n)
+        assert nott_inverse(u).unit._raw() == want, (p, n, zu)
 
 
 def test_strip_tables_are_binomial_rows():

@@ -422,8 +422,8 @@ def test_lazy_stages_match_eager_oracle():
         form, w = reduce(chi)
         total = nott_compose(w2.element, w1.element)
         assert form == ReducedForm.from_character(s2), case
-        # reduce acts once with the composite of both stages' steps and
-        # evaluates chi on it once
+        # reduce's kernel value, carried over from stage one's element, is
+        # chi of its witness, which composes both stages' steps
         assert w.kernel_value == char_eval(chi, w.element.unit), case
         expected = Witness(total, char_eval(chi, total.unit))
         assert (w.to_text(), w.kernel_value) == (
@@ -438,18 +438,24 @@ def test_lazy_stages_match_eager_oracle():
             seen.add("stage-one step")
         if any(q == l for q, _ in steps2):
             seen.add("step at q = l")
+        # the degree-m digit that restores the kernel value stands in for
+        # the e each step would read at v = l + j, whatever v is
         if any(v % p == 0 for _, v in steps2):
-            seen.add("read at l + j divisible by p")
-        if steps2 and steps2[0][1] % p == 0:
-            # read from chi's own values, in closed form
-            seen.add("first stage-two step reads a p-multiple l+j")
+            seen.add("step with p | v")
+        if any(v <= q for q, v in steps2):
+            seen.add("step with v <= q")
+        if steps2:
+            seen.add("stage-two steps after stage-one steps" if steps1 else
+                     "stage-two steps from the identity")
     assert seen == {
         "m = pl",
         "m = 2l over F_2",
         "stage-one step",
         "step at q = l",
-        "read at l + j divisible by p",
-        "first stage-two step reads a p-multiple l+j",
+        "step with p | v",
+        "step with v <= q",
+        "stage-two steps after stage-one steps",
+        "stage-two steps from the identity",
     }
 
 
@@ -581,18 +587,19 @@ def test_reduce_stage_two_fault_raises_runtime_error(monkeypatch, capsys):
 
 
 def test_each_stage_acts_at_most_once(counted_calls):
-    # stage one acts at most once; stage two and reduce not at all
+    # stage one acts at most once; stage two and reduce neither act nor
+    # evaluate: the kernel value of their witness is the one their steps
+    # keep, chi of stage one's element, which they evaluate themselves
     calls = counted_calls(reduction, "char_act")
     evals = counted_calls(reduction, "char_eval")
 
-    # a reduced character: neither stage takes a step, so neither acts,
-    # and reduce only evaluates the kernel of the identity
+    # a reduced character: neither stage takes a step, so neither acts
     chi = parse_character_literal("5:1,15:2", 2)
     assert reduce_mod_p(chi)[0] == chi and calls == []
     assert clear_low_p_part(chi)[0] == chi and calls == []
     del evals[:]
     assert reduce(chi)[0].to_character() == chi
-    assert calls == [] and len(evals) == 1
+    assert calls == [] and evals == []
 
     rng = random.Random(1202)
     many1 = many2 = False
@@ -606,28 +613,44 @@ def test_each_stage_acts_at_most_once(counted_calls):
             reduce_mod_p(chi)
             assert len(calls) == min(len(steps1), 1)
             # stage two, like reduce, reads its character from the values
-            # its steps recorded, and only evaluates the kernel
+            # its steps recorded
             del calls[:], evals[:]
             clear_low_p_part(s1)
-            assert calls == [] and len(evals) == 1
-            # reduce runs both stages' steps into one element, reads its
-            # form from the values stage two recorded and never acts
+            assert calls == [] and evals == []
+            # reduce runs both stages' steps into one element and reads its
+            # form from the values stage two recorded
             del calls[:], evals[:]
             reduce(chi)
-            assert calls == []
-            assert len(evals) == 1
+            assert calls == [] and evals == []
             many1 |= len(steps1) > 1
             many2 |= len(steps2) > 1
     # per-step actions would have shown up as several calls
     assert many1 and many2
 
 
+def count_kernel(counted_calls, name):
+    """One call list per nottorsion module that holds the series kernel
+    name, so that their lengths sum to the kernel's calls."""
+    return [
+        counted_calls(module, name)
+        for module_name, module in sorted(sys.modules.items())
+        if module_name.startswith("nottorsion")
+        and getattr(module, name, None) is getattr(series, name)
+    ]
+
+
+# types <7,37> over F_5 and <13,40> over F_3
+STEP_PRODUCT_CASES = [
+    ("1:10,2:4,3:12,4:20,6:1,7:21,9:10,11:20,13:20,14:5,18:15,19:15,22:5,"
+     "24:20,26:15,28:20,31:5,32:20,34:20,36:20,37:20", 5),
+    ("2:3,5:8,7:2,8:4,10:6,11:2,13:7,14:3,16:6,17:6,22:6,23:6,25:6,28:3,"
+     "31:6,32:6,35:6,38:6,40:3", 3),
+]
+
+
 @pytest.mark.parametrize(
     "text, p, most",
-    [("1:10,2:4,3:12,4:20,6:1,7:21,9:10,11:20,13:20,14:5,18:15,19:15,22:5,"
-      "24:20,26:15,28:20,31:5,32:20,34:20,36:20,37:20", 5, 220),
-     ("2:3,5:8,7:2,8:4,10:6,11:2,13:7,14:3,16:6,17:6,22:6,23:6,25:6,28:3,"
-      "31:6,32:6,35:6,38:6,40:3", 3, 130)],
+    [(*STEP_PRODUCT_CASES[0], 220), (*STEP_PRODUCT_CASES[1], 130)],
 )
 def test_reduce_step_products(counted_calls, text, p, most):
     # a stage-two step writes its unit as (1+t^v)^d + e*t^m from Lucas'
@@ -635,16 +658,30 @@ def test_reduce_step_products(counted_calls, text, p, most):
     # of zu, with no trailing product.  Built from two square-and-multiply
     # chains and their product, and composed by gap powers times the
     # previous power and a trailing product, these reductions, of types
-    # <7,37> over F_5 and <13,40> over F_3, took 297 and 174 products;
-    # they take 191 and 111
+    # <7,37> over F_5 and <13,40> over F_3, took 297 and 174 products,
+    # and 191 and 111 while stage one still moved its whole unit layer;
+    # they take 163 and 105
     chi = parse_character_literal(text, p)
-    calls = [
-        counted_calls(module, "_mul_raw")
-        for name, module in sorted(sys.modules.items())
-        if name.startswith("nottorsion")
-        and getattr(module, "_mul_raw", None) is series._mul_raw
-    ]
+    calls = count_kernel(counted_calls, "_mul_raw")
     assert len(calls) >= 3  # series, characters and reduction
+    form, witness = reduce(chi)
+    assert sum(map(len, calls)) <= most
+    assert verify_witness(chi, form.to_character(), witness)
+
+
+@pytest.mark.parametrize(
+    "text, p, most",
+    [(*STEP_PRODUCT_CASES[0], 50), (*STEP_PRODUCT_CASES[1], 54)],
+)
+def test_reduce_strip_runs(counted_calls, text, p, most):
+    # stage one reads the digit x_i and the value behind f off acc, one
+    # power and one strip each, where it once acted on its whole unit
+    # layer per step; stage two reads nothing at l + j, as its steps'
+    # factors (1+t^m)^e fold into one digit at degree m.  These reductions
+    # took 61 and 65 strips; they take 42 and 47
+    chi = parse_character_literal(text, p)
+    calls = count_kernel(counted_calls, "_strip_run")
+    assert len(calls) >= 2  # series and characters
     form, witness = reduce(chi)
     assert sum(map(len, calls)) <= most
     assert verify_witness(chi, form.to_character(), witness)
