@@ -112,7 +112,7 @@ def as_prime(p):
 # _mul_raw packs one coefficient per field of an unsigned array, in native
 # byte order; these are the typecodes by item size ("I" takes size 4 where
 # "L" is 4 too).
-_FIELD_CODES = {array(code).itemsize: code for code in "QLI"}
+_FIELD_CODES = {array(code).itemsize: code for code in "QLIHB"}
 _ORDER = sys.byteorder
 
 
@@ -121,15 +121,21 @@ def _field_width(n, p):
 
     With both operands cut to n+1 residues, each coefficient of their full
     product is a sum of at most n+1 products of two residues, so it is at
-    most (n+1)(p-1)^2: 4-byte fields hold that below 2^32, 8-byte ones
-    below 2^64.  Past that no field is safe, and the product refuses.
+    most (n+1)(p-1)^2: the narrowest of 1, 2, 4 and 8-byte fields whose
+    top value 2^(8w) - 1 is at least that.  Past 8 bytes no field is safe,
+    and the product refuses.
     """
     top = (n + 1) * (p - 1) ** 2
-    if top < 1 << 32:
-        return 4
-    if top < 1 << 64:
-        return 8
+    for width in (1, 2, 4, 8):
+        if top < 1 << 8 * width:
+            return width
     raise ValueError("coefficients up to %d overflow an 8-byte field" % top)
+
+
+@functools.lru_cache(maxsize=None)
+def _residue_table(p):
+    """bytes.translate table that takes each byte to its residue mod p."""
+    return bytes(v % p for v in range(256))
 
 
 def _mul_raw(a, b, p, n):
@@ -139,15 +145,21 @@ def _mul_raw(a, b, p, n):
     # keeps every field of the product from carrying into its neighbour.
     # Packing and unpacking both read bytes in native order, so on either
     # endianness field k of the unpacked array is the coefficient of t^k.
+    # One-byte fields are the bytes themselves, reduced by one translate.
     a, b = a[: n + 1], b[: n + 1]
     width = _field_width(n, p)
-    code = _FIELD_CODES[width]
-    prod = int.from_bytes(array(code, a).tobytes(), _ORDER) * int.from_bytes(
-        array(code, b).tobytes(), _ORDER
-    )
     size = len(a) + len(b) - 1
-    low = prod.to_bytes(size * width, _ORDER)[: (n + 1) * width]
-    out = [v % p for v in array(code, low)]
+    if width == 1:
+        prod = int.from_bytes(bytes(a), _ORDER) * int.from_bytes(bytes(b), _ORDER)
+        low = prod.to_bytes(size, _ORDER)[: n + 1]
+        out = list(low.translate(_residue_table(p)))
+    else:
+        code = _FIELD_CODES[width]
+        prod = int.from_bytes(array(code, a).tobytes(), _ORDER) * int.from_bytes(
+            array(code, b).tobytes(), _ORDER
+        )
+        low = prod.to_bytes(size * width, _ORDER)[: (n + 1) * width]
+        out = [v % p for v in array(code, low)]
     if size <= n:
         out += [0] * (n + 1 - size)
     return out
@@ -274,15 +286,43 @@ def _strip_run(f, p, n):
         # ascending division: the quotient at d is r[d] less the row times
         # the quotient at d - i*k, which is already in place.  The residual
         # is 1 below degree k and the quotient is 0 at k, so degrees k+1 ..
-        # 2k-1 keep their values and the division starts at 2k.
+        # 2k-1 keep their values and the division starts at 2k, where the
+        # row's first two terms reach; its third term reaches from 3k and
+        # its fourth from 4k.  Rows of up to four terms take one statement
+        # per degree over each of those ranges, longer ones the loop.
         r[k] = 0
-        for d in range(2 * k, n + 1):
-            acc = r[d]
-            for dk, w in tab:
-                if dk > d:
-                    break
-                acc -= w * r[d - dk]
-            r[d] = acc % p
+        k2, k3, k4 = 2 * k, 3 * k, 4 * k
+        size = len(tab)
+        if size == 1:
+            w1 = tab[0][1]
+            for d in range(k2, n + 1):
+                r[d] = (r[d] - w1 * r[d - k]) % p
+        elif size == 2:
+            (_, w1), (_, w2) = tab
+            for d in range(k2, n + 1):
+                r[d] = (r[d] - w1 * r[d - k] - w2 * r[d - k2]) % p
+        elif size <= 4:
+            (_, w1), (_, w2), (_, w3) = tab[:3]
+            top = n + 1 if size == 3 else k4
+            for d in range(k2, k3):
+                r[d] = (r[d] - w1 * r[d - k] - w2 * r[d - k2]) % p
+            for d in range(k3, top):
+                r[d] = (r[d] - w1 * r[d - k] - w2 * r[d - k2] - w3 * r[d - k3]) % p
+            if size == 4:
+                w4 = tab[3][1]
+                for d in range(k4, n + 1):
+                    r[d] = (
+                        r[d] - w1 * r[d - k] - w2 * r[d - k2] - w3 * r[d - k3]
+                        - w4 * r[d - k4]
+                    ) % p
+        else:
+            for d in range(k2, n + 1):
+                acc = r[d]
+                for dk, w in tab:
+                    if dk > d:
+                        break
+                    acc -= w * r[d - dk]
+                r[d] = acc % p
     # a division at k > n/2 starts beyond n, so above n/2 the residual's
     # coefficients are the run's digits
     run += [(k, cv) for k, cv in enumerate(r[half + 1 :], half + 1) if cv]

@@ -200,8 +200,16 @@ def random_precision(rng):
 
 
 def test_field_width_rule_at_the_boundary():
-    # (n+1)(p-1)^2 at 2^32 - 1 still fits 4 bytes, 2^32 needs 8; at
-    # 2^64 no field holds it.  Nothing of that size is built.
+    # (n+1)(p-1)^2 up to 2^(8w) - 1 still fits w bytes, one more needs the
+    # next width; at 2^64 no field holds it.  Nothing of that size is built.
+    assert _field_width(254, 2) == 1
+    assert _field_width(255, 2) == 2
+    assert _field_width(62, 3) == 1  # 4 * 63 = 252
+    assert _field_width(63, 3) == 2  # 4 * 64 = 2^8
+    assert _field_width(65534, 2) == 2
+    assert _field_width(65535, 2) == 4
+    assert _field_width(16382, 3) == 2  # 4 * 16383 = 2^16 - 4
+    assert _field_width(16383, 3) == 4  # 4 * 16384 = 2^16
     assert _field_width(2**32 - 2, 2) == 4
     assert _field_width(2**32 - 1, 2) == 8
     assert _field_width(2**30 - 2, 3) == 4  # 4 * (2^30 - 1) = 2^32 - 4
@@ -209,11 +217,42 @@ def test_field_width_rule_at_the_boundary():
     assert _field_width(2**64 - 2, 2) == 8
     with pytest.raises(ValueError):
         _field_width(2**64 - 1, 2)
-    assert _field_width(60, 31) == 4
-    for width in (4, 8):
+    assert _field_width(0, 31) == 2  # 900: over F_31 no field is one byte
+    assert _field_width(60, 31) == 2
+    assert _FIELD_CODES[1] == "B" and _FIELD_CODES[2] == "H"
+    for width in (1, 2, 4, 8):
         code = _FIELD_CODES[width]
         assert array(code).itemsize == width
         assert code.isupper()  # unsigned
+
+
+def last_n_of_width(width, p):
+    """The largest n whose product fits `width`-byte fields: the largest
+    with (n+1)(p-1)^2 < 2^(8*width); -1 when even n = 0 does not fit."""
+    return ((1 << 8 * width) - 1) // (p - 1) ** 2 - 1
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_at_the_field_width_boundaries(p):
+    # all-(p-1) operands put the largest sum a field can take, (n+1)(p-1)^2,
+    # at degree n, so a field too narrow for it reads degree n wrong.  At
+    # each width's last n and at the first n of the next width the product
+    # must equal the schoolbook one, whose coefficient at d is
+    # (d+1)(p-1)^2 mod p; the schoolbook product itself runs where it is
+    # cheap
+    for width in (1, 2):
+        last = last_n_of_width(width, p)
+        if last >= 0:
+            assert _field_width(last, p) == width
+        assert _field_width(last + 1, p) > width
+        for n in (last, last + 1):
+            if n < 0:
+                continue
+            a = [p - 1] * (n + 1)
+            want = [(d + 1) * (p - 1) ** 2 % p for d in range(n + 1)]
+            if n < 300:
+                assert school_mul(a, a, p, n) == want
+            assert _mul_raw(a, a, p, n) == want, (p, n)
 
 
 def test_mul_matches_schoolbook():
@@ -363,6 +402,25 @@ def test_strip_run_returns_digits_without_mutating():
     f = [1, 1, 2, 0, 1, 2, 2]
     assert _strip_run(f, 3, 6) == [(1, 1), (2, 2), (3, 1), (4, 2), (6, 2)]
     assert f == [1, 1, 2, 0, 1, 2, 2]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_strip_by_row_length(p):
+    # a first digit (k, c) divides by a row of min(c, n // k) terms: k = 1
+    # takes c terms (the loop past four), k just above n // 4 at most
+    # three, just above n // 3 and at n // 2 at most two; the residual
+    # behind it, dense, takes every row length again
+    rng = random.Random(21 + p)
+    for n in (13, 40):
+        for k in (1, n // 4 + 1, n // 3 + 1, n // 2):
+            for c in range(1, p):
+                f = [1] + [0] * (k - 1) + [c]
+                f += [rng.randrange(p) for _ in range(n - k)]
+                before = list(f)
+                run = _strip_run(f, p, n)
+                assert run[0] == (k, c), (p, n, k, c)
+                assert run == inverse_strip_run(f, p, n), (p, n, f)
+                assert f == before
 
 
 def unit_with_valuation(rng, p, m, r):
