@@ -50,12 +50,14 @@ acc first at degree m - q, by d, so the rows above q keep their values,
 and the row at q moves only its last strip digit, at degree m, by q*d;
 chi(E_m) is a multiple of p, so the value at q becomes the value read
 plus q*d*chi(E_m), and no later step moves it.  The window [m-l, m],
-which no step moves, comes from one chain of powers of stage one's acc,
-and each q reads one power of acc.  Stage two builds its character from
-these values and never acts on chi.  Each step checks that it moved acc
-that way; the form's own check and `_kernel_witness` close the stage.
-While acc is the identity the values are chi's own, in closed form
-(`characters._basis_value`).
+which no step moves, comes from one chain of powers of stage one's acc
+that strips only the rows at indices prime to p, and each q reads one
+power of acc: stage two evaluates exactly the rows it returns, and never
+acts on chi.  Each step checks that it moved acc that way.  `reduce` is
+stage two's one entry, closed by the form's own check and
+`_kernel_witness`; `clear_low_p_part` is `reduce` on stage-one input,
+where stage one takes no step.  While acc is the identity the values
+are chi's own, in closed form (`characters._basis_value`).
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from .characters import (
     break_sequence,
     char_act,
     char_eval,
-    is_reduced,
 )
 from .series import (
     NottinghamElement,
@@ -220,7 +221,8 @@ def _clear_p_part(chi, l, m, acc):
     for v in range(m - l, m + 1):
         if zv is not None:
             zv = _mul_raw(zv, acc, p, m - v)
-        values[v] = _row_value(v, zv, weights, p, psq, m)
+        if v % p:
+            values[v] = _row_value(v, zv, weights, p, psq, m)
     stepped = False
     for j in range(1, m - l):
         q = m - l - j
@@ -248,8 +250,7 @@ def _clear_p_part(chi, l, m, acc):
         if rest % p:
             raise RuntimeError("stage two moved the kernel value by %d" % rest)
         acc[m] = (acc[m] + rest // p * pow(b_m, -1, p)) % p
-    acted = Character(prime, {v: c for v, c in values.items() if v % p})
-    return _element(prime, acc, m), acted, kappa
+    return _element(prime, acc, m), Character(prime, values), kappa
 
 
 def reduce_mod_p(chi: Character):
@@ -272,18 +273,16 @@ def reduce_mod_p(chi: Character):
 def clear_low_p_part(chi: Character):
     """Stage two: clear the p-digits below the window [m-l, m].
 
-    Requires stage-one form (no unit digits below l).  Returns
-    (character, witness) with the output reduced.
+    Requires stage-one form (no unit digits below l), on which stage one
+    takes no step, so this is `reduce` on chi.  Returns (character,
+    witness) with the output reduced.
     """
     p = chi.prime.p
-    l, m = break_sequence(chi)
-    for i in range(1, l):
+    for i in range(1, break_sequence(chi)[0]):
         if i % p and chi.value(i) % p:
             raise ValueError("expects stage-one form: unit digit at %d" % i)
-    element, cur, kappa = _clear_p_part(chi, l, m, None)
-    if not is_reduced(cur):
-        raise RuntimeError("stage two did not reach a reduced character")
-    return cur, _kernel_witness(chi, element, kappa)
+    form, witness = reduce(chi)
+    return form.to_character(), witness
 
 
 def reduce(chi: Character):

@@ -26,7 +26,9 @@ state an elapsed time against a limit, and `acceptance._run_suite`,
 which times one of criterion 6's property suites.  Finally it keeps
 processes out of the library but for one place: `fork` is named only
 inside `acceptance._fork_suite`, which starts one property suite's
-worker.
+worker.  It keeps each stage of `reduction` to one entry: `_clear_p_part`
+is named only inside `reduce`, which `clear_low_p_part` runs, and
+`_clear_units` only inside `reduce` and `reduce_mod_p`.
 """
 
 import ast
@@ -184,6 +186,8 @@ CONFINED = {
     "dumps": {"_emit"},
     "perf_counter": {"_timed", "run_criterion_1", "run_criterion_6", "_run_suite"},
     "fork": {"_fork_suite"},
+    "_clear_p_part": {"reduce"},
+    "_clear_units": {"reduce", "reduce_mod_p"},
 }
 
 

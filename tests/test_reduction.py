@@ -582,6 +582,10 @@ def test_reduce_stage_two_fault_raises_runtime_error(monkeypatch, capsys):
     )
     with pytest.raises(RuntimeError, match="did not reach a reduced"):
         reduce(chi)
+    # chi is in stage-one form, so the public stage two passes its input
+    # check and meets the same fault
+    with pytest.raises(RuntimeError, match="did not reach a reduced"):
+        clear_low_p_part(chi)
     assert cli.main(["reduce", "--p", "3", "--char", text]) == 1
     assert "verification failure" in capsys.readouterr().err
 
@@ -671,14 +675,15 @@ def test_reduce_step_products(counted_calls, text, p, most):
 
 @pytest.mark.parametrize(
     "text, p, most",
-    [(*STEP_PRODUCT_CASES[0], 50), (*STEP_PRODUCT_CASES[1], 54)],
+    [(*STEP_PRODUCT_CASES[0], 40), (*STEP_PRODUCT_CASES[1], 42)],
 )
 def test_reduce_strip_runs(counted_calls, text, p, most):
     # stage one reads the digit x_i and the value behind f off acc, one
     # power and one strip each, where it once acted on its whole unit
     # layer per step; stage two reads nothing at l + j, as its steps'
-    # factors (1+t^m)^e fold into one digit at degree m.  These reductions
-    # took 61 and 65 strips; they take 42 and 47
+    # factors (1+t^m)^e fold into one digit at degree m, and strips no
+    # window row at an index divisible by p.  These reductions took 61
+    # and 65 strips, then 42 and 47; they take 40 and 42
     chi = parse_character_literal(text, p)
     calls = count_kernel(counted_calls, "_strip_run")
     assert len(calls) >= 2  # series and characters
